@@ -104,13 +104,15 @@ def frac_solve(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def frac_inverse(a: Matrix) -> Matrix | None:
+    """Inverse of a square matrix; None when singular.
+
+    For square A, A X = I is consistent exactly when A is invertible, so
+    the one elimination in frac_solve decides both.
+    """
     n = len(a)
-    x = frac_solve(a, frac_identity(n))
-    if x is None:
-        return None
-    if frac_rank(a) < n:
-        return None
-    return x
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse needs a square matrix")
+    return frac_solve(a, frac_identity(n))
 
 
 def extend_to_basis(vectors: Matrix, dim: int) -> Matrix:

@@ -104,7 +104,11 @@ class ChartPoint:
         return tuple(-t.winding for t in self.tokens)
 
     def to_data(self) -> dict:
-        return {"tokens": [{"z": str(t.z), "w": t.winding} for t in self.tokens]}
+        return tokens_to_data(self.tokens)
+
+
+def tokens_to_data(tokens: tuple[PhaseToken, ...]) -> dict:
+    return {"tokens": [{"z": str(t.z), "w": t.winding} for t in tokens]}
 
 
 def tokens_from_data(data: dict) -> tuple[PhaseToken, ...]:

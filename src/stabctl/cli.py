@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -77,12 +76,6 @@ def _parse_resolutions(items) -> dict[tuple[int, int], dict[int, int]]:
     return out
 
 
-def _apply_bound(args) -> None:
-    bound = getattr(args, "oracle_bound", None)
-    if bound is not None:
-        os.environ["STABCTL_ORACLE_BOUND"] = str(bound)
-
-
 # -- command bodies ---------------------------------------------------------
 
 
@@ -124,7 +117,7 @@ def cmd_build(args) -> int:
 
 def cmd_member(args) -> int:
     point = _load_point(args.point)
-    member = pn_model.theta_member(point, args.chart)
+    member = pn_model.theta_member(point, args.chart, bound=args.oracle_bound)
     _emit({"chart": args.chart, "member": member})
     return 0 if member else 1
 
@@ -133,7 +126,7 @@ def cmd_hn(args) -> int:
     quiver = _parse_quiver(args.quiver)
     rep = rep_lab.parse_rep(_read_source_rep(args.rep), quiver)
     charge = CentralCharge(_parse_charges(args.charge))
-    factors = rep_lab.hn(rep, charge, extractor=args.extractor)
+    factors = rep_lab.hn(rep, charge, bound=args.oracle_bound, extractor=args.extractor)
     _emit(
         {
             "factors": [
@@ -153,7 +146,9 @@ def _read_source_rep(value: str) -> str:
 def cmd_stable_pair(args) -> int:
     point = _load_point(args.point)
     try:
-        offset = pn_model.find_stable_pair(point, window=args.window)
+        offset = pn_model.find_stable_pair(
+            point, window=args.window, bound=args.oracle_bound
+        )
     except pn_model.StablePairNotFound:
         _emit({"found": False, "window": args.window})
         return 1
@@ -163,7 +158,12 @@ def cmd_stable_pair(args) -> int:
 
 def cmd_overlap(args) -> int:
     report = pn_model.overlap_scan(
-        args.arrows, args.chart, args.other, samples=args.samples, seed=args.seed
+        args.arrows,
+        args.chart,
+        args.other,
+        samples=args.samples,
+        seed=args.seed,
+        bound=args.oracle_bound,
     )
     _emit(report)
     return 0 if not report["counterexamples"] else 1
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_bound(args)
     try:
         return args.func(args)
     except OracleBoundError as exc:

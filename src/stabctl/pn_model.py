@@ -2,7 +2,9 @@
 
 The lattice classes, the helix of rigid modules, the adjacent-pair chart
 system, the half-pixel membership test, and the Monte Carlo overlap scan
-all live here.  Everything is exact rational arithmetic; the only
+all live here.  The helix has one construction: kernels of universal maps
+going left, vector-space duals of those going right, and every module
+certified rigid.  Everything is exact rational arithmetic; the only
 floating point in the package stays in the metric helpers.
 """
 
@@ -17,7 +19,7 @@ from functools import lru_cache
 from . import _linalg
 from . import exc_collections as xc
 from . import rep_lab
-from .chart_atlas import ChartPoint, build_stability
+from .chart_atlas import ChartPoint, build_stability, tokens_from_data, tokens_to_data
 from .gl_action import GLTildeElement, act_tokens, orbit_solve
 from .klattice import (
     CentralCharge,
@@ -94,51 +96,6 @@ def _power_rep(rep, n: int):
     return out
 
 
-def _forward_step(n: int, rep_a, rep_b, homs):
-    """Cokernel of the universal map rep_a -> rep_b^n, with the new hom basis.
-
-    homs holds a basis of Hom(rep_a, rep_b) as per-vertex matrices; the
-    returned basis spans Hom(rep_b, coker) and is induced by the quotient
-    projection on each summand.
-    """
-    big = _power_rep(rep_b, n)
-    db = rep_b.dims
-    bases = []
-    for v in range(2):
-        rows = []
-        for j in range(rep_a.dims[v]):
-            row = []
-            for l in range(n):
-                hv = homs[l][v]
-                row.extend(hv[i][j] for i in range(db[v]))
-            rows.append(tuple(row))
-        if rows and _linalg.frac_rank([list(r) for r in rows]) != len(rows):
-            raise RuntimeError("universal map fails to be injective")
-        bases.append(tuple(rows))
-    quot, comps = rep_lab._quotient_from_witness(big, tuple(bases))
-    pis = []
-    for v in range(2):
-        full = [list(r) for r in bases[v]] + [list(r) for r in comps[v]]
-        if not full:
-            pis.append([])
-            continue
-        # coordinates in the row basis solve F^T c = x
-        ft = [[full[r][c] for r in range(len(full))] for c in range(len(full[0]))]
-        inv = _linalg.frac_inverse(ft)
-        if inv is None:
-            raise RuntimeError("witness rows do not form a basis")
-        pis.append(inv[len(bases[v]) :])
-    new_homs = []
-    for l in range(n):
-        per_v = []
-        for v in range(2):
-            per_v.append(
-                tuple(tuple(row[l * db[v] : (l + 1) * db[v]]) for row in pis[v])
-            )
-        new_homs.append(tuple(per_v))
-    return quot, tuple(new_homs)
-
-
 def _backward_step(n: int, rep_b, rep_c, homs):
     """Kernel of the universal map rep_b^n -> rep_c, with the new hom basis.
 
@@ -176,34 +133,13 @@ def _backward_step(n: int, rep_b, rep_c, homs):
 
 
 @lru_cache(maxsize=None)
-def _chain(n: int, k: int):
-    """(N_k, N_{k+1}, basis of Hom(N_k, N_{k+1})) for k >= 1."""
-    q = kronecker_quiver(n)
-    if k == 1:
-        n1 = rep_lab.vertex_simple(q, 1)
-        n2 = rep_lab.make_rep(
-            q,
-            (1, n),
-            [[[Fraction(1 if i == l else 0)] for i in range(n)] for l in range(n)],
-        )
-        homs = tuple(
-            (
-                ((),),
-                tuple((Fraction(1 if i == l else 0),) for i in range(n)),
-            )
-            for l in range(n)
-        )
-        _certify_rigid(n2)
-        return n1, n2, homs
-    prev_a, prev_b, prev_h = _chain(n, k - 1)
-    new_rep, new_h = _forward_step(n, prev_a, prev_b, prev_h)
-    _certify_rigid(new_rep)
-    return prev_b, new_rep, new_h
-
-
-@lru_cache(maxsize=None)
 def _bchain(n: int, k: int):
-    """(N_k, N_{k+1}, basis of Hom(N_k, N_{k+1})) for k <= -1."""
+    """(N_k, N_{k+1}, basis of Hom(N_k, N_{k+1})) for k <= -1.
+
+    The left half of the helix: N_k is the kernel of the universal map
+    N_{k+1}^n -> N_{k+2}, certified rigid; s_rep dualizes these modules
+    for the right half.
+    """
     q = kronecker_quiver(n)
     if k == -1:
         n0 = rep_lab.vertex_simple(q, 0)
@@ -227,21 +163,23 @@ def _bchain(n: int, k: int):
     return new_rep, nxt_b, new_h
 
 
+@lru_cache(maxsize=None)
 def s_rep(n: int, k: int):
-    """The k-th rigid module of the recursion, n >= 2.
+    """The k-th rigid module of the helix, n >= 2.
 
-    Consecutive cokernels going right, consecutive kernels going left;
-    every constructed module is certified rigid on the spot.
+    Kernels going left build S_k for k <= -1; going right, S_k is the
+    dual of S_{1-k}, since the vector-space dual takes preinjectives to
+    preprojectives.  Every returned module is certified rigid.
     """
     if n < 2:
         raise ValueError("recursion is for two or more arrows; one arrow is periodic")
     if k == 0:
         return rep_lab.vertex_simple(kronecker_quiver(n), 0)
-    if k == 1:
-        return _chain(n, 1)[0]
-    if k > 1:
-        return _chain(n, k - 1)[1]
-    return _bchain(n, k)[0]
+    if k < 0:
+        return _bchain(n, k)[0]
+    rep = rep_lab.dual(s_rep(n, 1 - k))
+    _certify_rigid(rep)
+    return rep
 
 
 @lru_cache(maxsize=None)
@@ -249,8 +187,9 @@ def helix_module(n: int, i: int):
     """(module, shift) with the i-th helix object the module shifted down.
 
     For one arrow the helix is periodic of order three up to shift, so the
-    modules repeat; otherwise the recursion supplies them.  The lattice
-    class is checked against the closed recurrence on the spot.
+    modules repeat; otherwise s_rep supplies them, kernels going left and
+    duals going right, each certified rigid.  The lattice class is checked
+    against the closed recurrence on the spot.
     """
     if n < 1:
         raise ValueError("need at least one arrow")
@@ -331,19 +270,11 @@ class PnPoint:
         object.__setattr__(self, "tokens", toks)
 
     def to_data(self) -> dict:
-        return {
-            "n": self.n,
-            "base": self.base,
-            "tokens": [{"z": str(t.z), "w": t.winding} for t in self.tokens],
-        }
+        return {"n": self.n, "base": self.base, **tokens_to_data(self.tokens)}
 
 
 def point_from_data(data: dict) -> PnPoint:
-    toks = tuple(
-        PhaseToken(GaussianRational.parse(t["z"]), int(t["w"]))
-        for t in data["tokens"]
-    )
-    return PnPoint(int(data["n"]), int(data["base"]), toks)
+    return PnPoint(int(data["n"]), int(data["base"]), tokens_from_data(data))
 
 
 def chart_point(p: PnPoint) -> ChartPoint:

@@ -379,19 +379,20 @@ class SubrepScan:
     uncertified: tuple[tuple[int, ...], ...]
 
 
-def _transpose_rep(m: QuiverRep) -> QuiverRep:
-    """Swap vertices and transpose arrows of a parallel two-vertex quiver."""
-    src = _source_vertex(m.quiver)
-    snk = 1 - src
-    q = Quiver(m.quiver.name + "~", 2, tuple((0, 1) for _ in m.quiver.arrows))
-    dims = (m.dims[snk], m.dims[src])
-    fixed = []
-    for mat in m.matrices:
-        rows = len(mat)
-        cols = len(mat[0]) if rows else m.dims[src]
-        tr = [[mat[i][j] for i in range(rows)] for j in range(cols)]
-        fixed.append(tr)
-    return make_rep(q, dims, fixed)
+def dual(m: QuiverRep) -> QuiverRep:
+    """Vector-space dual of a representation of a parallel two-vertex quiver.
+
+    Dualizing reverses every arrow; swapping the two vertices turns them
+    back into the original arrows, so the dual lives on the same quiver
+    with dims (d1, d0) and every matrix transposed.
+    """
+    if _source_vertex(m.quiver) is None:
+        raise ValueError("dual needs two vertices joined by parallel arrows")
+    dims = (m.dims[1], m.dims[0])
+    mats = []
+    for mat, (_, t) in zip(m.matrices, m.quiver.arrows):
+        mats.append([[row[j] for row in mat] for j in range(dims[t])])
+    return make_rep(m.quiver, dims, mats)
 
 
 def _rref_condition_matrix(w: np.ndarray, d: int, pivots, p: int) -> np.ndarray:
@@ -522,7 +523,7 @@ def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
     snk = 1 - src
     d_src, d_snk = m.dims[src], m.dims[snk]
     dualize = d_src < d_snk
-    work = _transpose_rep(m) if dualize else m
+    work = dual(m) if dualize else m
     enum_side = min(d_src, d_snk)
 
     if _linalg.count_subspaces(enum_side, 2) > HARD_ENUM_BUDGET:
@@ -544,16 +545,14 @@ def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
     for p in primes:
         cands = _enum_two_vertex(work, p)
         if dualize:
-            w_src = _source_vertex(work.quiver)
-            mapped = {}
-            for vec, wit in cands.items():
-                du, de = vec[w_src], vec[1 - w_src]
-                mapped[
-                    tuple(
-                        (d_src - de, d_snk - du) if src == 0 else (d_snk - du, d_src - de)
-                    )
-                ] = (wit, p)
-            per_prime.append(mapped)
+            # a subrep of D m is the annihilator of a quotient of m, whose
+            # kernel has the complementary dims on the swapped vertices
+            per_prime.append(
+                {
+                    (m.dims[0] - vec[1], m.dims[1] - vec[0]): (wit, p)
+                    for vec, wit in cands.items()
+                }
+            )
         else:
             per_prime.append({vec: (wit, p) for vec, wit in cands.items()})
 
@@ -826,8 +825,8 @@ def _sub_from_witness(m: QuiverRep, bases) -> QuiverRep:
     return make_rep(m.quiver, dims, mats)
 
 
-def _quotient_from_witness(m: QuiverRep, bases) -> tuple[QuiverRep, tuple]:
-    """Quotient representation plus the complement rows used at each vertex."""
+def _quotient_from_witness(m: QuiverRep, bases) -> QuiverRep:
+    """Quotient of m by the subrepresentation the witness rows span."""
     comps = []
     fulls = []
     for v in range(m.quiver.vertex_count):
@@ -850,7 +849,7 @@ def _quotient_from_witness(m: QuiverRep, bases) -> tuple[QuiverRep, tuple]:
         img_cols = [list(c) for c in zip(*imgs)] if imgs else [[] for _ in range(m.dims[t])]
         sol = _linalg.frac_solve(full_cols, img_cols)
         mats.append([row for row in sol[len(bases[t]) :]])
-    return make_rep(m.quiver, dims, mats), tuple(tuple(tuple(r) for r in c) for c in comps)
+    return make_rep(m.quiver, dims, mats)
 
 
 def _witness_bases(m: QuiverRep, vec, scan) -> tuple:
@@ -910,7 +909,7 @@ def hn(
         extra = []
         if vec == current.dims:
             break
-        current, _ = _quotient_from_witness(current, bases)
+        current = _quotient_from_witness(current, bases)
     for a, b in zip(factors, factors[1:]):
         if phase_compare(a[1], b[1]) <= 0:
             raise RuntimeError("factor phases are not strictly decreasing")

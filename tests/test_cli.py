@@ -11,8 +11,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from stabctl import cli
 
 SIGMA = '{"n":2,"base":0,"tokens":[{"z":"-1","w":-1},{"z":"1+1i","w":0}]}'
@@ -28,17 +26,6 @@ UNKNOWN_PAIR = json.dumps(
         "table": {"0,1": None},
     }
 )
-
-
-@pytest.fixture(autouse=True)
-def _keep_oracle_env():
-    # --oracle-bound writes the process environment; undo it per test
-    saved = os.environ.get("STABCTL_ORACLE_BOUND")
-    yield
-    if saved is None:
-        os.environ.pop("STABCTL_ORACLE_BOUND", None)
-    else:
-        os.environ["STABCTL_ORACLE_BOUND"] = saved
 
 
 def run(capsys, argv):
@@ -137,6 +124,19 @@ def test_member_respects_the_oracle_bound(capsys):
     )
     assert code == 3
     assert "total dimension 17 exceeds the oracle bound 8" in err
+
+
+def test_oracle_bound_leaves_the_environment_alone(capsys):
+    before = dict(os.environ)
+    for argv in (
+        ["member", "--point", INTERIOR, "--chart", "2"],
+        ["hn", "--rep", "rep p2 1 2\n1\n0\n0\n1\n", "--charge=-1,1+1i"],
+        ["stable-pair", "--point", SIGMA, "--window", "2"],
+        ["overlap", "--arrows", "2", "--chart", "0", "--other", "1", "--samples", "2"],
+    ):
+        code, _, _ = run(capsys, argv + ["--oracle-bound", "12"])
+        assert code == 0
+        assert dict(os.environ) == before
 
 
 def test_hn_single_stable_factor(capsys):
