@@ -3,6 +3,15 @@
 Fraction-valued routines back every certified claim; mod-p routines (numpy,
 vectorized) provide fast rank computation and candidate enumeration whose
 results are either certified over QQ afterwards or discarded.
+
+Every mod-p rank, kernel and inverse goes through one elimination,
+mod_p_rref.  It takes the rows CHUNK at a time: a float64 matrix product
+reduces the chunk against the basis found so far, the chunk is eliminated
+on its own one pivot at a time, and a second product clears the basis on
+the new pivots (blocked elimination as in Dumas, Giorgi and Pernet,
+"FFLAS-FFPACK", ACM TOMS 2008).  The products are exact because every
+operand lies in [0, p) and the inner dimension k obeys k (p - 1)^2 < 2^53;
+a prime too large for the matrix is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -166,12 +175,21 @@ def int_rank(rows) -> int:
 # -- modular kernels -------------------------------------------------------
 
 
-def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
+CHUNK = 64
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    # entries lie in [0, p), so every partial sum is an integer below
+    # inner * (p - 1)**2 < 2**53 and the float64 product is exact
+    return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
+
+
+def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan on a few rows in place, one pivot at a time."""
+    rows = m.shape[0]
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(m.shape[1]):
         if r >= rows:
             break
         nz = np.nonzero(m[r:, c])[0]
@@ -188,40 +206,56 @@ def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m %= p
         pivots.append(c)
         r += 1
-    return m, pivots
+    return m[:r], pivots
+
+
+def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Nonzero rows of the reduced row echelon form mod p, with their pivots.
+
+    Returns (k x cols array, pivot column list) for a matrix of rank k.
+    Rows are taken CHUNK at a time: one product reduces a chunk against
+    the basis found so far, the chunk is eliminated on its own, and a
+    second product clears the basis on the chunk's new pivots.  The basis
+    is kept on its free columns only, since its pivot block is the identity.
+    """
+    m = np.array(mat, dtype=np.int64) % p
+    rows, cols = m.shape
+    inner = min(rows, cols)
+    if inner and inner * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"p = {p} is too large for exact float64 products of inner size {inner}")
+    pivots: list[int] = []
+    free = np.arange(cols)
+    red = m[:0]
+    for start in range(0, rows, CHUNK):
+        chunk = m[start : start + CHUNK]
+        if pivots:
+            chunk = (chunk[:, free] - _matmul_mod(chunk[:, pivots], red, p)) % p
+        chunk, new = _eliminate(chunk, p)
+        if not pivots and start + CHUNK >= rows:
+            return chunk, new
+        if not new:
+            continue
+        red = (red - _matmul_mod(red[:, new], chunk, p)) % p
+        keep = np.ones(free.size, dtype=bool)
+        keep[new] = False
+        red = np.concatenate([red, chunk])[:, keep]
+        pivots += free[new].tolist()
+        free = free[keep]
+    basis = np.zeros((len(pivots), cols), dtype=np.int64)
+    basis[:, free] = red
+    basis[range(len(pivots)), pivots] = 1
+    order = np.argsort(pivots)
+    return basis[order], sorted(pivots)
 
 
 def mod_p_rank(mat: np.ndarray, p: int) -> int:
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1 :, c].copy()
-        if below.size:
-            m[r + 1 :] = (m[r + 1 :] - np.outer(below, m[r])) % p
-        rank += 1
-        r += 1
-    return rank
+    return len(mod_p_rref(mat, p)[1])
 
 
 def mod_p_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     """Right-kernel basis mod p, one vector per row."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    rref, pivots = mod_p_rref(m, p)
+    rref, pivots = mod_p_rref(mat, p)
+    cols = rref.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     for i, fc in enumerate(free):
@@ -232,13 +266,16 @@ def mod_p_kernel(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def mod_p_inverse(mat: np.ndarray, p: int) -> np.ndarray | None:
+    """Inverse of a square matrix mod p; None when singular."""
     m = np.array(mat, dtype=np.int64) % p
     n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError("inverse needs a square matrix")
     aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
     rref, pivots = mod_p_rref(aug, p)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    if pivots[:n] != list(range(n)):
         return None
-    return rref[:n, n:]
+    return rref[:, n:]
 
 
 def centered_lift(mat: np.ndarray, p: int) -> np.ndarray:

@@ -299,9 +299,16 @@ def hom_ext(m: QuiverRep, n: QuiverRep, want_basis: bool = False) -> HomExt:
     Small systems are solved exactly; large systems go through a modular
     rank whose result is certified by the Euler bound hom >= max(chi, 0),
     retrying other primes and finally exact arithmetic when uncertified.
+    On parallel two-vertex quivers Hom(M, N) = Hom(DN, DM) with the same
+    chi, so without a basis the side whose reduced system has fewer
+    columns (sink unknowns) is solved.
     """
     if m.quiver != n.quiver:
         raise ValueError("representations live on different quivers")
+    src = _source_vertex(m.quiver)
+    if not want_basis and src is not None:
+        if m.dims[src] * n.dims[src] < m.dims[1 - src] * n.dims[1 - src]:
+            return hom_ext(dual(n), dual(m))
     chi = euler_pair(euler_matrix(m.quiver), m.dims, n.dims)
     offs, total = _unknown_layout(m, n)
 

@@ -268,3 +268,34 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("[PASS] metric: 3 cases in")
+
+
+# three objects with the two adjacent entries left unknown
+UNKNOWN_CHAIN = json.dumps(
+    {
+        "classes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "euler": [[1, 3, 0], [0, 1, 3], [0, 0, 1]],
+        "labels": ["A", "B", "C"],
+        "shifts": [0, 0, 0],
+        "table": {"0,1": None, "0,2": {"0": 0}, "1,2": None},
+    }
+)
+
+
+def test_the_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    mutate = ["mutate", "--collection", UNKNOWN_CHAIN, "--direction", "right"]
+    sequence = [
+        mutate + ["--index", "0", "--resolve", "0,1:0=3", "--resolve", "1,2:0=3"],
+        mutate + ["--index", "0", "--resolve", "0,1:0=3"],
+        mutate + ["--index", "0"],
+        ["classify", "--pn", "3"],
+        mutate + ["--index", "1", "--resolve", "1,2:0=3", "--resolve", "0,1:0=3"],
+        ["chart", "--pn", "2", "--base", "3"],
+        ["witness", "--pn", "3", "--index", "0"],
+        mutate + ["--index", "1"],
+        ["orbit", "--point", SIGMA, "--target", SIGMA],
+    ]
+    shared = [run(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run(capsys, argv) for argv in sequence] == shared

@@ -60,6 +60,14 @@ def test_backward_module_dims():
         pn_model.s_rep(1, 2)
 
 
+def test_s_rep_reaches_the_dual_of_the_largest_kernel():
+    rep = pn_model.s_rep(3, 5)
+    assert rep.dims == (21, 55)
+    assert rep == rep_lab.dual(pn_model.s_rep(3, -4))
+    he = rep_lab.hom_ext(rep, rep)
+    assert (he.hom, he.ext) == (1, 0)
+
+
 def test_hom_degree_prediction():
     assert pn_model.hom_degrees(3, 0, 1) == (0, 3)
     assert pn_model.hom_degrees(3, 1, 0) == (1, 0)

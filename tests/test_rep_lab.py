@@ -74,11 +74,11 @@ def _hom_ext_by_elimination(m: rep_lab.QuiverRep, n: rep_lab.QuiverRep):
     return hom, ext
 
 
-def _random_rep(quiver, rng, top=3):
-    while True:
+def _random_rep(quiver, rng, top=3, dims=None):
+    while dims is None:
         dims = tuple(rng.randint(0, top) for _ in range(quiver.vertex_count))
-        if any(dims):
-            break
+        if not any(dims):
+            dims = None
     mats = [
         [[Fraction(rng.randint(-3, 3)) for _ in range(dims[s])] for _ in range(dims[t])]
         for s, t in quiver.arrows
@@ -86,7 +86,7 @@ def _random_rep(quiver, rng, top=3):
     return rep_lab.make_rep(quiver, dims, mats)
 
 
-def test_hom_ext_against_direct_elimination():
+def test_hom_ext_against_direct_elimination(monkeypatch):
     rng = random.Random(51)
     quivers = [
         kronecker_quiver(1),
@@ -109,6 +109,20 @@ def test_hom_ext_against_direct_elimination():
             else:
                 with pytest.raises(ValueError):
                     rep_lab.dual(a)
+    # past the exact limit, with the smaller reduced system on the dual side
+    solved = []
+    reduced = rep_lab._hom_mod_p_reduced
+    monkeypatch.setattr(
+        rep_lab, "_hom_mod_p_reduced", lambda m, n, p: solved.append((m.dims, n.dims)) or reduced(m, n, p)
+    )
+    for quiver, dm, dn in ((kronecker_quiver(2), (2, 10), (3, 12)), (kronecker_quiver(3), (1, 12), (3, 11))):
+        a, b = (_random_rep(quiver, rng, dims=d) for d in (dm, dn))
+        assert sum(x * y for x, y in zip(dm, dn)) > rep_lab.EXACT_UNKNOWN_LIMIT
+        he = rep_lab.hom_ext(a, b)
+        assert he.method.startswith("mod-")
+        assert solved[-1] == (dn[::-1], dm[::-1])
+        assert rep_lab.hom_ext(rep_lab.dual(b), rep_lab.dual(a)) is he
+        assert (he.hom, he.ext) == _hom_ext_by_elimination(a, b)
 
 
 def test_hom_ext_cross_quiver_rejection():
