@@ -44,7 +44,8 @@ def frac_matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def frac_matvec(a: Matrix, v: Row) -> Row:
-    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
+    return [sum((row[k] * x for k, x in nonzero), Fraction(0)) for row in a]
 
 
 def frac_rref(rows: Matrix) -> tuple[Matrix, list[int]]:

@@ -5,16 +5,22 @@ against actual representations: Hom and Ext dimensions through the standard
 two-term projective resolution, subrepresentation dimension vectors through
 modular enumeration with rational certification, and stability or
 Harder-Narasimhan data through exact phase comparison.
+
+Hom dimensions follow one ladder at every size: a rank modulo each large
+prime, accepted when it meets the Euler bound hom >= max(chi, 0), and exact
+elimination only when no prime certifies.  Hom bases are always solved
+exactly over the rationals.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cache, lru_cache
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -33,7 +39,6 @@ from .klattice import (
     phase_compare,
 )
 
-EXACT_UNKNOWN_LIMIT = 120
 LARGE_PRIMES = (10007, 10009, 10037, 10039)
 ENUM_PRIMES = (2, 3, 5)
 PRIME_ENUM_BUDGET = 60_000
@@ -221,20 +226,9 @@ def _rows_to_int(rows):
     """Scale each row to integer entries; rank is unchanged."""
     out = []
     for row in rows:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
+        lcm = math.lcm(*(x.denominator for x in row))
         out.append([int(x * lcm) for x in row])
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _source_vertex(q: Quiver) -> int | None:
@@ -247,37 +241,32 @@ def _source_vertex(q: Quiver) -> int | None:
     return srcs.pop()
 
 
-def _hom_mod_p_reduced(m: QuiverRep, n: QuiverRep, p: int) -> int | None:
-    """Sink-unknown count minus consistency rank, for parallel two-vertex quivers.
+def _hom_mod_p_reduced(m: QuiverRep, n: QuiverRep, p: int) -> int:
+    """Hom dimension mod p on a parallel two-vertex quiver.
 
-    Eliminates the source block of the intertwiner through the stacked
-    target matrices; valid whenever that stack has full column rank mod p.
+    The equations f_snk A_a = B_a f_src, stacked over the arrows, read
+    stack(f_snk A_a) = sb f_src with sb the stacked target matrices.  A
+    sink map extends exactly when the rows Y of the left kernel of sb
+    annihilate stack(f_snk A_a), and each extension is unique up to the
+    m_src (n_src - rank sb) maps into the kernel of sb.
     """
-    q = m.quiver
-    src = _source_vertex(q)
-    if src is None:
-        return None
+    src = _source_vertex(m.quiver)
     snk = 1 - src
-    narr = len(q.arrows)
-    if n.dims[src] == 0:
-        # no source unknowns: the constraints are stack(f_snk A_a) = 0
-        proj = np.eye(narr * n.dims[snk], dtype=np.int64)
-    else:
-        sb = np.vstack([_matrix_mod_p(n.matrices[a], p) for a in range(narr)])
-        if _linalg.mod_p_rank(sb, p) < n.dims[src]:
-            return None
-        gram = (sb.T @ sb) % p
-        gram_inv = _linalg.mod_p_inverse(gram, p)
-        if gram_inv is None:
-            return None
-        proj = (np.eye(sb.shape[0], dtype=np.int64) - (sb @ gram_inv % p) @ sb.T % p) % p
-    unknowns = n.dims[snk] * m.dims[snk]
-    a3 = np.stack([_matrix_mod_p(m.matrices[a], p) for a in range(narr)])
-    p3 = proj.reshape(proj.shape[0], narr, n.dims[snk])
-    t = np.einsum("rai,akj->rjik", p3 % p, a3 % p) % p
-    tmat = t.reshape(proj.shape[0] * m.dims[src], n.dims[snk] * m.dims[snk]) % p
-    rank = _linalg.mod_p_rank(tmat, p)
-    return unknowns - rank
+    narr = len(m.quiver.arrows)
+    sb = np.vstack([_matrix_mod_p(b, p) for b in n.matrices]).reshape(
+        narr * n.dims[snk], n.dims[src]
+    )
+    y = _linalg.mod_p_kernel(sb.T, p)
+    rank_sb = sb.shape[0] - y.shape[0]
+    a3 = np.stack([_matrix_mod_p(a, p) for a in m.matrices]).reshape(
+        narr, m.dims[snk], m.dims[src]
+    )
+    y3 = y.reshape(y.shape[0], narr, n.dims[snk])
+    # row (r, j), column (i, k): sum over a of Y[r, a, i] A_a[k, j]
+    t = np.einsum("rai,akj->rjik", y3, a3) % p
+    tmat = t.reshape(y.shape[0] * m.dims[src], n.dims[snk] * m.dims[snk])
+    sink_hom = n.dims[snk] * m.dims[snk] - _linalg.mod_p_rank(tmat, p)
+    return m.dims[src] * (n.dims[src] - rank_sb) + sink_hom
 
 
 def _hom_mod_p_full(m: QuiverRep, n: QuiverRep, p: int) -> int:
@@ -296,12 +285,14 @@ def _hom_mod_p_full(m: QuiverRep, n: QuiverRep, p: int) -> int:
 def hom_ext(m: QuiverRep, n: QuiverRep, want_basis: bool = False) -> HomExt:
     """Hom and Ext dimensions between representations of one acyclic quiver.
 
-    Small systems are solved exactly; large systems go through a modular
-    rank whose result is certified by the Euler bound hom >= max(chi, 0),
-    retrying other primes and finally exact arithmetic when uncertified.
-    On parallel two-vertex quivers Hom(M, N) = Hom(DN, DM) with the same
-    chi, so without a basis the side whose reduced system has fewer
-    columns (sink unknowns) is solved.
+    With a basis the intertwiner system is solved exactly over the
+    rationals.  Without one, a modular rank is tried for each large prime:
+    rank mod p never exceeds the rank over QQ, so hom_p >= hom >= max(chi, 0)
+    and hom_p = max(chi, 0) certifies the answer.  When no prime
+    certifies, the system is solved by exact elimination.  Parallel
+    two-vertex quivers use the reduced sink system of _hom_mod_p_reduced,
+    and since Hom(M, N) = Hom(DN, DM) with the same chi, the side with
+    fewer sink unknowns is solved; other quivers use the full system.
     """
     if m.quiver != n.quiver:
         raise ValueError("representations live on different quivers")
@@ -310,36 +301,28 @@ def hom_ext(m: QuiverRep, n: QuiverRep, want_basis: bool = False) -> HomExt:
         if m.dims[src] * n.dims[src] < m.dims[1 - src] * n.dims[1 - src]:
             return hom_ext(dual(n), dual(m))
     chi = euler_pair(euler_matrix(m.quiver), m.dims, n.dims)
-    offs, total = _unknown_layout(m, n)
 
-    if want_basis or total <= EXACT_UNKNOWN_LIMIT:
+    if want_basis:
         rows, total, offs = _system_rows(m, n)
-        if want_basis:
-            kernel = _linalg.frac_kernel(rows, total) if rows else _linalg.frac_identity(total)
-            hom = len(kernel)
-            basis = tuple(_reshape_basis(v, m, n, offs) for v in kernel)
-        else:
-            rank = _linalg.int_rank(_rows_to_int(rows)) if rows else 0
-            hom = total - rank
-            basis = None
-        return HomExt(hom, hom - chi, basis, "exact")
+        kernel = _linalg.frac_kernel(rows, total) if rows else _linalg.frac_identity(total)
+        basis = tuple(_reshape_basis(v, m, n, offs) for v in kernel)
+        return HomExt(len(kernel), len(kernel) - chi, basis, "exact")
 
-    cost_cap = 3_000_000_000
-    for p in _pick_prime((m, n)):
-        hom_p = _hom_mod_p_reduced(m, n, p)
-        if hom_p is None:
-            rows_count = sum(
-                n.dims[t] * m.dims[s] for s, t in m.quiver.arrows
-            )
-            if rows_count * total * min(rows_count, total) > cost_cap:
-                continue
-            hom_p = _hom_mod_p_full(m, n, p)
+    _, total = _unknown_layout(m, n)
+    solve, primes = _hom_mod_p_reduced, _pick_prime((m, n))
+    if src is None:
+        solve = _hom_mod_p_full
+        rows_count = sum(n.dims[t] * m.dims[s] for s, t in m.quiver.arrows)
+        if rows_count * total * min(rows_count, total) > 3_000_000_000:
+            primes = ()
+    for p in primes:
+        hom_p = solve(m, n, p)
         if hom_p == max(chi, 0):
             return HomExt(hom_p, hom_p - chi, None, f"mod-{p}")
     # uncertified: fall back to exact arithmetic when at all feasible
     if total > 400:
         raise OracleBoundError(f"hom system with {total} unknowns is uncertified and too large")
-    rows, total, offs = _system_rows(m, n)
+    rows, total, _ = _system_rows(m, n)
     rank = _linalg.int_rank(_rows_to_int(rows)) if rows else 0
     hom = total - rank
     return HomExt(hom, hom - chi, None, "exact-fallback")
@@ -567,60 +550,14 @@ def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
     for cand in per_prime[1:]:
         surviving &= set(cand)
 
-    rng = random.Random(f"subrep:{m.dims}:{hash(m) & 0xFFFF}")
-    kernels = _kernel_pool(m, src)
+    # seeded from the canonical text, so the witnesses do not depend on
+    # PYTHONHASHSEED
+    rng = random.Random(f"subrep:{format_rep(m)}")
+    kernels = cache(lambda: _kernel_pool(m, src))
     witnesses = {}
     uncertified = []
     for vec in sorted(surviving):
-        u = vec[src]
-        pool = []
-        for cand in per_prime:
-            if vec not in cand:
-                continue
-            (w_p, kern_p), p = cand[vec]
-            if dualize:
-                # the enumerated subspace lives in functionals on the source
-                lifted = _linalg.centered_lift(w_p, p)
-                urows = _linalg.frac_kernel(
-                    [[Fraction(int(x)) for x in row] for row in lifted], d_src
-                )
-                if len(urows) == u:
-                    pool.append(urows)
-            else:
-                lifted = _linalg.centered_lift(kern_p[:u], p)
-                pool.append([[Fraction(int(x)) for x in row] for row in lifted])
-                wq = [
-                    [Fraction(int(x)) for x in row]
-                    for row in _linalg.centered_lift(w_p, p)
-                ]
-                ann = (
-                    _linalg.frac_kernel(wq, d_snk)
-                    if wq
-                    else _linalg.frac_identity(d_snk)
-                )
-                cond = []
-                for y in ann:
-                    for mat in m.matrices:
-                        row = [Fraction(0)] * d_src
-                        for i, yi in enumerate(y):
-                            if yi:
-                                for j in range(d_src):
-                                    row[j] += yi * mat[i][j]
-                        cond.append(row)
-                uq = (
-                    _linalg.frac_kernel(cond, d_src)
-                    if cond
-                    else _linalg.frac_identity(d_src)
-                )
-                if len(uq) >= u:
-                    pool.append(uq[:u])
-        for kb in kernels:
-            if len(kb) >= u:
-                pool.append(kb[:u])
-        for comb in list(combinations(range(d_src), u))[:60]:
-            pool.append(
-                [[Fraction(1 if j == c else 0) for j in range(d_src)] for c in comb]
-            )
+        pool = _witness_pool(m, vec, per_prime, dualize, kernels)
         wit = _certify_two_vertex(m, vec, pool, rng)
         if wit is not None:
             witnesses[vec] = wit
@@ -628,6 +565,51 @@ def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
             uncertified.append(vec)
     vectors = tuple(sorted(witnesses))
     return SubrepScan(vectors, witnesses, tuple(sorted(uncertified)))
+
+
+def _witness_pool(m: QuiverRep, vec, per_prime, dualize: bool, kernels):
+    """Candidate source bases for vec, built one at a time as they are tried.
+
+    Lifts of each prime's witness come first, then arrow-kernel bases
+    (kernels() computes them once per scan), then coordinate subspaces.
+    """
+    src = _source_vertex(m.quiver)
+    d_src, d_snk = m.dims[src], m.dims[1 - src]
+    u = vec[src]
+    for cand in per_prime:
+        if vec not in cand:
+            continue
+        (w_p, kern_p), p = cand[vec]
+        if dualize:
+            # the enumerated subspace lives in functionals on the source
+            lifted = _linalg.centered_lift(w_p, p)
+            urows = _linalg.frac_kernel(
+                [[Fraction(int(x)) for x in row] for row in lifted], d_src
+            )
+            if len(urows) == u:
+                yield urows
+            continue
+        lifted = _linalg.centered_lift(kern_p[:u], p)
+        yield [[Fraction(int(x)) for x in row] for row in lifted]
+        wq = [[Fraction(int(x)) for x in row] for row in _linalg.centered_lift(w_p, p)]
+        ann = _linalg.frac_kernel(wq, d_snk) if wq else _linalg.frac_identity(d_snk)
+        cond = []
+        for y in ann:
+            for mat in m.matrices:
+                row = [Fraction(0)] * d_src
+                for i, yi in enumerate(y):
+                    if yi:
+                        for j in range(d_src):
+                            row[j] += yi * mat[i][j]
+                cond.append(row)
+        uq = _linalg.frac_kernel(cond, d_src) if cond else _linalg.frac_identity(d_src)
+        if len(uq) >= u:
+            yield uq[:u]
+    for kb in kernels():
+        if len(kb) >= u:
+            yield kb[:u]
+    for comb in islice(combinations(range(d_src), u), 60):
+        yield [[Fraction(1 if j == c else 0) for j in range(d_src)] for c in comb]
 
 
 def _kernel_pool(m: QuiverRep, src: int):
@@ -923,21 +905,9 @@ def hn(
     return factors
 
 
-def _compose_rows(inner_rows, outer_rows):
-    out = []
-    outer = [list(r) for r in outer_rows]
-    for r in inner_rows:
-        vec = [Fraction(0)] * (len(outer[0]) if outer else 0)
-        for c, row in zip(r, outer):
-            for j, x in enumerate(row):
-                vec[j] += c * x
-        out.append(vec)
-    return out
-
-
 def _compose_witness(inner, outer):
     return tuple(
-        tuple(tuple(r) for r in _compose_rows(inner[v], outer[v]))
+        tuple(tuple(r) for r in _linalg.frac_matmul(inner[v], outer[v]))
         for v in range(len(outer))
     )
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,7 +112,7 @@ def test_hom_ext_against_direct_elimination(monkeypatch):
             else:
                 with pytest.raises(ValueError):
                     rep_lab.dual(a)
-    # past the exact limit, with the smaller reduced system on the dual side
+    # larger systems, with the smaller reduced system on the dual side
     solved = []
     reduced = rep_lab._hom_mod_p_reduced
     monkeypatch.setattr(
@@ -117,11 +120,55 @@ def test_hom_ext_against_direct_elimination(monkeypatch):
     )
     for quiver, dm, dn in ((kronecker_quiver(2), (2, 10), (3, 12)), (kronecker_quiver(3), (1, 12), (3, 11))):
         a, b = (_random_rep(quiver, rng, dims=d) for d in (dm, dn))
-        assert sum(x * y for x, y in zip(dm, dn)) > rep_lab.EXACT_UNKNOWN_LIMIT
         he = rep_lab.hom_ext(a, b)
         assert he.method.startswith("mod-")
         assert solved[-1] == (dn[::-1], dm[::-1])
         assert rep_lab.hom_ext(rep_lab.dual(b), rep_lab.dual(a)) is he
+        assert (he.hom, he.ext) == _hom_ext_by_elimination(a, b)
+
+
+def test_hom_ext_reduced_system_with_a_singular_target_stack(monkeypatch):
+    # a p2 target of dims (7, 3) stacks two 3x7 matrices into a 6x7 matrix,
+    # whose kernel is never zero; neither pair is routed to its dual, and the
+    # systems have 26 and 130 unknowns
+    q = kronecker_quiver(2)
+    rng = random.Random(55)
+    solved = []
+    reduced = rep_lab._hom_mod_p_reduced
+    monkeypatch.setattr(
+        rep_lab, "_hom_mod_p_reduced", lambda m, n, p: solved.append(n.dims) or reduced(m, n, p)
+    )
+
+    def no_full_system(m, n, p):
+        raise AssertionError("parallel quivers use the reduced system")
+
+    monkeypatch.setattr(rep_lab, "_hom_mod_p_full", no_full_system)
+    for dm in ((2, 4), (10, 20)):
+        a, b = _random_rep(q, rng, dims=dm), _random_rep(q, rng, dims=(7, 3))
+        he = rep_lab.hom_ext(a, b)
+        assert solved[-1] == (7, 3)
+        assert he.method.startswith("mod-")
+        assert (he.hom, he.ext) == _hom_ext_by_elimination(a, b)
+
+
+def test_hom_ext_full_modular_system_on_three_vertices(monkeypatch):
+    # 121 and 132 unknowns, both certified by the first prime
+    rng = random.Random(56)
+    calls = []
+    full = rep_lab._hom_mod_p_full
+    monkeypatch.setattr(
+        rep_lab, "_hom_mod_p_full", lambda m, n, p: calls.append(p) or full(m, n, p)
+    )
+    cases = (
+        (Quiver("a3", 3, ((0, 1), (1, 2))), (6, 6, 7)),
+        (Quiver("fork", 3, ((0, 2), (1, 2), (0, 2))), (8, 8, 2)),
+    )
+    for quiver, dims in cases:
+        a, b = _random_rep(quiver, rng, dims=dims), _random_rep(quiver, rng, dims=dims)
+        calls.clear()
+        he = rep_lab.hom_ext(a, b)
+        first = rep_lab.LARGE_PRIMES[0]
+        assert calls == [first] and he.method == f"mod-{first}"
         assert (he.hom, he.ext) == _hom_ext_by_elimination(a, b)
 
 
@@ -190,8 +237,9 @@ def test_subrep_dimvec_fixtures():
 
 
 def _candidates(scan: rep_lab.SubrepScan) -> set:
-    # the random-search certifier is seeded from hash(m), which differs
-    # between the two quivers, so compare what enumeration found
+    # the random-search certifier is seeded from format_rep(m), which names
+    # the quiver, so the two draw different candidates: compare what
+    # enumeration found
     return set(scan.vectors) | set(scan.uncertified)
 
 
@@ -217,6 +265,30 @@ def test_subrep_dimvecs_on_a_source_one_quiver():
                 assert got == want, (d0, d1, mats)
                 cases += 1
     assert cases == 96
+
+
+def test_subrep_certification_ignores_the_hash_seed():
+    # a certifier seeded from hash(m), which hashes the quiver name,
+    # certifies (2, 2) of this representation under hash seed 0 but not 2
+    script = "\n".join(
+        (
+            "from stabctl import rep_lab",
+            "from stabctl.klattice import kronecker_quiver",
+            "m = rep_lab.make_rep(kronecker_quiver(2), (3, 3), [",
+            "    [[1, 1, 2], [-1, -1, -2], [2, 0, -2]], [[-1, 0, 0], [1, 1, 1], [1, -2, -2]]])",
+            "scan = rep_lab.subrep_dimvecs(m, 12)",
+            "print(scan.vectors, scan.uncertified)",
+        )
+    )
+    src = os.path.dirname(os.path.dirname(rep_lab.__file__))
+    outputs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_subrep_dimvecs_sees_rational_eigenvectors():
