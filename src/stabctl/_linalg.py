@@ -4,10 +4,13 @@ Fraction-valued routines back every certified claim; mod-p routines (numpy,
 vectorized) provide fast rank computation and candidate enumeration whose
 results are either certified over QQ afterwards or discarded.
 
-Every mod-p rank, kernel and inverse goes through one elimination,
-mod_p_rref.  It takes the rows CHUNK at a time: a float64 matrix product
-reduces the chunk against the basis found so far, the chunk is eliminated
-on its own one pivot at a time, and a second product clears the basis on
+There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
+stack (B, rows, cols), one row of every matrix per step.  mod_p_rank ranks
+a whole stack with it, which is how subspace enumeration ranks a block of
+up to CHUNK small matrices at once.  mod_p_rref, behind every other mod-p
+rank, kernel and inverse, takes the rows CHUNK at a time as a stack of one:
+a float64 matrix product reduces the chunk against the basis found so far,
+the kernel eliminates the chunk, and a second product clears the basis on
 the new pivots (blocked elimination as in Dumas, Giorgi and Pernet,
 "FFLAS-FFPACK", ACM TOMS 2008).  The products are exact because every
 operand lies in [0, p) and the inner dimension k obeys k (p - 1)^2 < 2^53;
@@ -17,7 +20,7 @@ a prime too large for the matrix is refused with ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -185,29 +188,48 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
 
 
-def _eliminate(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan on a few rows in place, one pivot at a time."""
-    rows = m.shape[0]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.shape[1]):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+def _check_prime(inner: int, p: int) -> None:
+    if inner and inner * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"p = {p} is too large for exact float64 products of inner size {inner}")
+
+
+def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan in place on a stack (B, rows, cols), one row at a time.
+
+    Step i takes row i of every matrix, already reduced by the rows before
+    it: its first nonzero column becomes a pivot, the row is scaled to a
+    leading 1 and that column is cleared in every other row.  A row stays
+    zero left of its pivot, so the pivot rows sorted by pivot column are the
+    reduced row echelon form, and the other rows end up zero.  Returns the
+    pivot column of every row, or cols for a zero row, as a (B, rows) array.
+
+    Entries are reduced mod p only where they are read and once at the end:
+    each pivot adds less than (p - 1)^2 to an entry, and the caller's check
+    on min(rows, cols) keeps the sum below 2^53.
+    """
+    stack, rows, cols = m.shape
+    at = np.arange(stack)
+    full = 0  # steps that gave every matrix a pivot
+    for i in range(rows if cols else 0):  # without columns there is no pivot
+        row = m[:, i]
+        row %= p
+        lead = (row != 0).argmax(axis=1)
+        vals = row[at, lead].tolist()
+        if not any(vals):
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= p
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+        # a zero row scales to zero and clears nothing
+        row *= np.array([[pow(x, p - 2, p) if x else 0] for x in vals], dtype=np.int64)
+        row %= p
+        col = m[at, :, lead] % p
+        col[:, i] = 0
+        m -= col[:, :, None] * row[:, None, :]
+        full += all(vals)
+        if full == cols:
+            break  # every column is a pivot column, the rows below are cleared
+    m %= p
+    # the first nonzero of each row, or the marker column after the last
+    marked = np.concatenate([m != 0, np.ones((stack, rows, 1), dtype=bool)], axis=2)
+    return marked.argmax(axis=2)
 
 
 def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -221,9 +243,7 @@ def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """
     m = np.array(mat, dtype=np.int64) % p
     rows, cols = m.shape
-    inner = min(rows, cols)
-    if inner and inner * (p - 1) ** 2 >= 2**53:
-        raise ValueError(f"p = {p} is too large for exact float64 products of inner size {inner}")
+    _check_prime(min(rows, cols), p)
     pivots: list[int] = []
     free = np.arange(cols)
     red = m[:0]
@@ -231,7 +251,10 @@ def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         chunk = m[start : start + CHUNK]
         if pivots:
             chunk = (chunk[:, free] - _matmul_mod(chunk[:, pivots], red, p)) % p
-        chunk, new = _eliminate(chunk, p)
+        lead = _eliminate(chunk[None], p)[0]
+        # pivot rows by pivot column; zero rows, marked by lead == cols, sort last
+        order = np.argsort(lead)[: np.count_nonzero(lead < chunk.shape[1])]
+        chunk, new = chunk[order], lead[order].tolist()
         if not pivots and start + CHUNK >= rows:
             return chunk, new
         if not new:
@@ -249,20 +272,29 @@ def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return basis[order], sorted(pivots)
 
 
-def mod_p_rank(mat: np.ndarray, p: int) -> int:
-    return len(mod_p_rref(mat, p)[1])
+def mod_p_rank(mat: np.ndarray, p: int):
+    """Rank mod p of a matrix, or an array of ranks for a stack (B, rows, cols).
+
+    A stack is eliminated whole, without chunks, so it suits many small
+    matrices; it is transposed when that makes the rows, one step each, fewer.
+    """
+    if np.ndim(mat) == 2:
+        return len(mod_p_rref(mat, p)[1])
+    m = np.array(mat, dtype=np.int64) % p
+    _check_prime(min(m.shape[1:]), p)
+    if m.shape[1] > m.shape[2]:
+        m = m.transpose(0, 2, 1)
+    return (_eliminate(m, p) < m.shape[2]).sum(axis=1)
 
 
 def mod_p_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     """Right-kernel basis mod p, one vector per row."""
     rref, pivots = mod_p_rref(mat, p)
     cols = rref.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    free = sorted(set(range(cols)) - set(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-int(rref[r, fc])) % p
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -rref[:, free].T % p
     return basis
 
 
@@ -298,29 +330,36 @@ def count_subspaces(d: int, p: int) -> int:
     return sum(gaussian_binomial(d, e, p) for e in range(d + 1))
 
 
+def subspace_blocks_mod_p(d: int, e: int, p: int):
+    """The e-dimensional subspaces of F_p^d, at most CHUNK at a time.
+
+    Yields (w, c) per block: w (B x e x d) holds RREF bases that share one
+    pivot pattern and c (B x (d - e) x d) the rows annihilating each.  Pivot
+    patterns come in lexicographic order and, within one, the free entries
+    count up with the last one fastest.
+    """
+    for piv in combinations(range(d), e):
+        rest = [j for j in range(d) if j not in piv]
+        slots = [(i, j) for i in range(e) for j in rest if j > piv[i]]
+        piv, rest = np.array(piv, dtype=np.intp), np.array(rest, dtype=np.intp)
+        total = p ** len(slots)
+        for start in range(0, total, CHUNK):
+            k = np.arange(start, min(start + CHUNK, total))
+            w = np.zeros((k.size, e, d), dtype=np.int64)
+            w[:, np.arange(e), piv] = 1
+            for i, j in reversed(slots):
+                w[:, i, j] = k % p
+                k = k // p
+            c = np.zeros((w.shape[0], d - e, d), dtype=np.int64)
+            c[:, np.arange(d - e), rest] = 1
+            c[:, :, piv] = -w[:, :, rest].transpose(0, 2, 1) % p
+            yield w, c
+
+
 def subspaces_mod_p(d: int, e: int, p: int):
     """All e-dimensional subspaces of F_p^d as RREF basis matrices (e x d)."""
-    if e == 0:
-        yield np.zeros((0, d), dtype=np.int64)
-        return
-    for piv in combinations(range(d), e):
-        free_slots = [
-            (i, j)
-            for i in range(e)
-            for j in range(piv[i] + 1, d)
-            if j not in piv
-        ]
-        base = np.zeros((e, d), dtype=np.int64)
-        for i, c in enumerate(piv):
-            base[i, c] = 1
-        if not free_slots:
-            yield base.copy()
-            continue
-        for vals in product(range(p), repeat=len(free_slots)):
-            m = base.copy()
-            for (i, j), v in zip(free_slots, vals):
-                m[i, j] = v
-            yield m
+    for w, _ in subspace_blocks_mod_p(d, e, p):
+        yield from w
 
 
 def all_subspaces_mod_p(d: int, p: int):

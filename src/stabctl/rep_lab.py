@@ -70,6 +70,16 @@ class QuiverRep:
     dims: tuple[int, ...]
     matrices: tuple[Mat, ...]
 
+    def __hash__(self) -> int:
+        # hashing the Fraction entries is costly and reps key the oracle
+        # caches, so the hash is kept on the instance; equality stays structural
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.quiver, self.dims, self.matrices))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def total_dim(self) -> int:
         return sum(self.dims)
 
@@ -214,12 +224,12 @@ def _pick_prime(reps, primes=LARGE_PRIMES):
             yield p
 
 
-def _matrix_mod_p(mat: Mat, p: int) -> np.ndarray:
-    out = np.zeros((len(mat), len(mat[0]) if mat else 0), dtype=np.int64)
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            out[i, j] = (x.numerator * pow(x.denominator, p - 2, p)) % p
-    return out
+def _matrix_mod_p(mat, p: int) -> np.ndarray:
+    """Fraction rows mod p, with one inverse per distinct denominator."""
+    dens = {x.denominator for row in mat for x in row}
+    inverse = {d: pow(d, p - 2, p) if d != 1 else 1 for d in dens}
+    out = [[x.numerator * inverse[x.denominator] % p for x in row] for row in mat]
+    return np.array(out, dtype=np.int64).reshape(len(mat), len(mat[0]) if mat else 0)
 
 
 def _rows_to_int(rows):
@@ -273,12 +283,7 @@ def _hom_mod_p_full(m: QuiverRep, n: QuiverRep, p: int) -> int:
     rows, total, _ = _system_rows(m, n)
     if not rows:
         return total
-    arr = np.zeros((len(rows), total), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x != 0:
-                arr[i, j] = (x.numerator * pow(x.denominator, p - 2, p)) % p
-    return total - _linalg.mod_p_rank(arr, p)
+    return total - _linalg.mod_p_rank(_matrix_mod_p(rows, p), p)
 
 
 @lru_cache(maxsize=4096)
@@ -385,47 +390,38 @@ def dual(m: QuiverRep) -> QuiverRep:
     return make_rep(m.quiver, dims, mats)
 
 
-def _rref_condition_matrix(w: np.ndarray, d: int, pivots, p: int) -> np.ndarray:
-    """Rows annihilating the row space of an RREF basis matrix, mod p."""
-    e = w.shape[0]
-    non_piv = [j for j in range(d) if j not in pivots]
-    c = np.zeros((d - e, d), dtype=np.int64)
-    for r, j in enumerate(non_piv):
-        c[r, j] = 1
-        for i, pc in enumerate(pivots):
-            c[r, pc] = (-int(w[i, j])) % p
-    return c
-
-
 def _enum_two_vertex(m: QuiverRep, p: int):
     """Candidate (source, sink) subrep dims mod p with one witness each.
 
-    Enumerates sink subspaces; the source bound is the meet of the arrow
-    preimages.  Returns {vec: (w_rref, kernel_basis)}.
+    Enumerates sink subspaces W; the largest source subspace mapping into W
+    is the meet of the arrow preimages, of dimension
+    mu(W) = d_src - rank(stack of C A_a) with C the rows annihilating W.
+    W comes in blocks of one pivot pattern, each block ranked by one stacked
+    elimination, and a kernel basis is solved only for the first W that
+    reaches a new (u, e).  Blocks of e are skipped once every (u, e) is
+    found.  Returns {vec: (w_rref, kernel_basis)}.
     """
     src = _source_vertex(m.quiver)
-    snk = 1 - src
-    d_src, d_snk = m.dims[src], m.dims[snk]
-    amats = [_matrix_mod_p(mat, p) for mat in m.matrices]
+    d_src, d_snk = m.dims[src], m.dims[1 - src]
+    amats = np.stack([_matrix_mod_p(mat, p).reshape(d_snk, d_src) for mat in m.matrices])
     found: dict[tuple[int, int], tuple] = {}
     for e in range(d_snk + 1):
-        for w in _linalg.subspaces_mod_p(d_snk, e, p):
-            pivots = [int(np.argmax(w[i] != 0)) for i in range(e)]
-            if e == d_snk:
-                mu = d_src
-                kern = np.eye(d_src, dtype=np.int64)
-            else:
-                c = _rref_condition_matrix(w, d_snk, pivots, p)
-                if amats and d_src:
-                    stacked = np.vstack([(c @ a) % p for a in amats])
-                    kern = _linalg.mod_p_kernel(stacked, p)
-                else:
-                    kern = np.eye(d_src, dtype=np.int64)
-                mu = kern.shape[0]
-            for u in range(mu + 1):
-                vec = (u, e) if src == 0 else (e, u)
-                if vec not in found:
-                    found[vec] = (w.copy(), kern[:u].copy())
+        missing = list(range(d_src + 1))  # source dims u with (u, e) not found
+        for w, c in _linalg.subspace_blocks_mod_p(d_snk, e, p):
+            if not missing:
+                break
+            # row (a, r) of matrix b: row r of C_b A_a
+            stacked = (c[:, None] @ amats % p).reshape(len(c), len(amats) * (d_snk - e), d_src)
+            ranks = _linalg.mod_p_rank(stacked, p)
+            for i, mu in enumerate((d_src - ranks).tolist()):
+                if not missing or missing[0] > mu:
+                    continue
+                kern = _linalg.mod_p_kernel(stacked[i], p)
+                for u in missing:
+                    if u <= mu:
+                        vec = (u, e) if src == 0 else (e, u)
+                        found[vec] = (w[i].copy(), kern[:u].copy())
+                missing = [u for u in missing if u > mu]
     return found
 
 
@@ -746,6 +742,11 @@ def _charge_of(charge: CentralCharge, dims) -> GaussianRational:
     return charge.evaluate(tuple(int(x) for x in dims))
 
 
+def _charges(charge: CentralCharge, vecs) -> dict:
+    """The charge of each distinct vector, evaluated once."""
+    return {vec: _charge_of(charge, vec) for vec in dict.fromkeys(vecs)}
+
+
 def _check_stability_function(charge: CentralCharge, quiver: Quiver) -> None:
     if len(charge) != quiver.vertex_count:
         raise ValueError("charge length does not match the quiver")
@@ -768,18 +769,14 @@ def theta_test(m: QuiverRep, charge: CentralCharge, bound: int | None = None) ->
         raise ValueError("the zero representation has no stability verdict")
     scan = subrep_dimvecs(m, bound)
     t_m = PhaseToken(_charge_of(charge, m.dims), 0)
+    proper = [vec for vec in scan.vectors if any(vec) and vec != m.dims]
+    tokens = {vec: PhaseToken(z, 0) for vec, z in _charges(charge, proper).items()}
     worst = None
     worst_cmp = -1
-    for vec in scan.vectors:
-        if all(x == 0 for x in vec) or vec == m.dims:
-            continue
-        cmp = phase_compare(PhaseToken(_charge_of(charge, vec), 0), t_m)
+    for vec in proper:
+        cmp = phase_compare(tokens[vec], t_m)
         if worst is None or cmp > worst_cmp or (
-            cmp == worst_cmp
-            and phase_compare(
-                PhaseToken(_charge_of(charge, vec), 0),
-                PhaseToken(_charge_of(charge, worst), 0),
-            ) > 0
+            cmp == worst_cmp and phase_compare(tokens[vec], tokens[worst]) > 0
         ):
             worst, worst_cmp = vec, cmp
     if worst is None:
@@ -917,16 +914,15 @@ def sub_dims(bases) -> tuple[int, ...]:
 
 
 def _select_destabilizer(current, charge, cands, extractor):
+    zs = _charges(charge, [vec for vec, _ in cands])
     if extractor == "phase":
+        tokens = {vec: PhaseToken(z, 0) for vec, z in zs.items()}
         best = None
         for vec, bases in cands:
             if best is None:
                 best = (vec, bases)
                 continue
-            c = phase_compare(
-                PhaseToken(_charge_of(charge, vec), 0),
-                PhaseToken(_charge_of(charge, best[0]), 0),
-            )
+            c = phase_compare(tokens[vec], tokens[best[0]])
             if c > 0 or (
                 c == 0
                 and (
@@ -939,7 +935,7 @@ def _select_destabilizer(current, charge, cands, extractor):
     if extractor == "slope":
         # maximal slope by exact cross products, then join every maximal witness
         def slope_greater(a, b):
-            za, zb = _charge_of(charge, a), _charge_of(charge, b)
+            za, zb = zs[a], zs[b]
             return za.re * zb.im - za.im * zb.re < 0
         top = []
         for vec, bases in cands:

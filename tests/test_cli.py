@@ -260,11 +260,16 @@ def test_missing_collection_source_is_a_usage_error(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the package from where this process found it, so
+    # the test also runs when pytest alone put src on the path
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "stabctl.cli", "verify", "--suite", "metric"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("[PASS] metric: 3 cases in")

@@ -8,6 +8,7 @@ that shares no code with the package.
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -111,3 +112,61 @@ def test_mod_p_refuses_a_prime_too_large_for_float64():
     for fn in (_linalg.mod_p_rref, _linalg.mod_p_rank, _linalg.mod_p_kernel, _linalg.mod_p_inverse):
         with pytest.raises(ValueError, match="too large"):
             fn(m, 2**31 - 1)
+
+
+def _stack(rng: random.Random, count: int, rows: int, cols: int, p: int) -> np.ndarray:
+    """Matrices of every rank from zero to full, the first one zero."""
+    full = min(rows, cols)
+    return np.stack([_low_rank(rng, rows, cols, b % (full + 1), p) for b in range(count)])
+
+
+def test_stacked_elimination_matches_the_reference():
+    rng = random.Random(9)
+    for p in PRIMES:
+        for rows, cols in ((3, 7), (7, 3), (5, 5), (1, 4), (12, 2)):
+            stack = _stack(rng, 11, rows, cols, p)
+            assert not stack[0].any()
+            m = stack.copy()
+            lead = _linalg._eliminate(m, p)
+            rank = (lead < cols).sum(axis=1)
+            assert len(set(rank.tolist())) > 1
+            for b in range(len(stack)):
+                ref, ref_pivots = _reference_rref(stack[b].tolist(), p)
+                order = np.argsort(lead[b], kind="stable")
+                assert lead[b, order[: rank[b]]].tolist() == ref_pivots, (p, rows, cols, b)
+                assert m[b, order[: rank[b]]].tolist() == ref
+                assert not m[b, order[rank[b] :]].any()
+            assert _linalg.mod_p_rank(stack, p).tolist() == rank.tolist()
+            for b in (0, len(stack) - 1):
+                assert _linalg.mod_p_rank(stack[b : b + 1], p).tolist() == [
+                    _linalg.mod_p_rank(stack[b], p)
+                ]
+    empty = np.zeros((0, 3, 4), dtype=np.int64)
+    assert _linalg.mod_p_rank(empty, 5).tolist() == []
+    with pytest.raises(ValueError, match="too large"):
+        _linalg.mod_p_rank(np.ones((2, 2, 2), dtype=np.int64), 2**31 - 1)
+
+
+def _reference_subspaces(d: int, e: int, p: int):
+    """RREF bases by pivot pattern, free entries counting up last-first."""
+    for piv in combinations(range(d), e):
+        slots = [(i, j) for i in range(e) for j in range(piv[i] + 1, d) if j not in piv]
+        for vals in product(range(p), repeat=len(slots)):
+            w = [[int(j == c) for j in range(d)] for c in piv]
+            for (i, j), v in zip(slots, vals):
+                w[i][j] = v
+            yield w
+
+
+def test_subspaces_keep_their_order_and_count():
+    for p in (2, 3, 5):
+        for d in range(5):
+            for e in range(d + 1):
+                got = [w.tolist() for w in _linalg.subspaces_mod_p(d, e, p)]
+                assert got == list(_reference_subspaces(d, e, p)), (d, e, p)
+                assert len(got) == _linalg.gaussian_binomial(d, e, p)
+                for w, c in _linalg.subspace_blocks_mod_p(d, e, p):
+                    assert len(w) <= _linalg.CHUNK
+                    assert c.shape == (len(w), d - e, d)
+                    assert not (w @ c.transpose(0, 2, 1) % p).any()
+                    assert (_linalg.mod_p_rank(c, p) == d - e).all()

@@ -8,9 +8,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from stabctl import _linalg, rep_lab
+from stabctl import _linalg, pn_model, rep_lab
 from stabctl.klattice import (
     CentralCharge,
     OracleBoundError,
@@ -267,6 +268,72 @@ def test_subrep_dimvecs_on_a_source_one_quiver():
     assert cases == 96
 
 
+def _enum_reference(m: rep_lab.QuiverRep, p: int) -> dict:
+    """The scan one sink subspace at a time: one kernel per subspace."""
+    src = 0 if m.quiver.arrows[0][0] == 0 else 1
+    d_src, d_snk = m.dims[src], m.dims[1 - src]
+    amats = [
+        np.array(
+            [[x.numerator * pow(x.denominator, p - 2, p) % p for x in row] for row in mat],
+            dtype=np.int64,
+        ).reshape(d_snk, d_src)
+        for mat in m.matrices
+    ]
+    found = {}
+    for e in range(d_snk + 1):
+        for w in _linalg.subspaces_mod_p(d_snk, e, p):
+            pivots = [int(np.argmax(w[i] != 0)) for i in range(e)]
+            cond = np.zeros((d_snk - e, d_snk), dtype=np.int64)
+            for r, j in enumerate(j for j in range(d_snk) if j not in pivots):
+                cond[r, j] = 1
+                for i, pc in enumerate(pivots):
+                    cond[r, pc] = -int(w[i, j]) % p
+            kern = _linalg.mod_p_kernel(np.vstack([cond @ a % p for a in amats]), p)
+            for u in range(kern.shape[0] + 1):
+                vec = (u, e) if src == 0 else (e, u)
+                if vec not in found:
+                    found[vec] = (w.copy(), kern[:u].copy())
+    return found
+
+
+def _same_scan(got: dict, want: dict) -> bool:
+    return list(got) == list(want) and all(
+        np.array_equal(got[v][0], want[v][0]) and np.array_equal(got[v][1], want[v][1])
+        for v in want
+    )
+
+
+def test_enum_two_vertex_matches_the_per_subspace_scan():
+    rng = random.Random(57)
+    quivers = [kronecker_quiver(k) for k in (1, 2, 3, 4)] + [Quiver("q", 2, ((1, 0), (1, 0)))]
+    cases = 0
+    while cases < 40:
+        quiver = rng.choice(quivers)
+        dims = (rng.randint(0, 6), rng.randint(0, 6))
+        p = rng.choice((2, 3, 5, 7))
+        snk = quiver.arrows[0][1]
+        if not any(dims) or _linalg.count_subspaces(dims[snk], p) > 2000:
+            continue
+        m = _random_rep(quiver, rng, dims=dims)
+        assert _same_scan(rep_lab._enum_two_vertex(m, p), _enum_reference(m, p)), (dims, p)
+        cases += 1
+    # 2664 sink subspaces at p = 3, many blocks of one pivot pattern
+    helix = pn_model.s_rep(2, -5)
+    assert helix.dims == (6, 5)
+    for p in (2, 3):
+        assert _same_scan(rep_lab._enum_two_vertex(helix, p), _enum_reference(helix, p))
+
+
+def test_enum_two_vertex_solves_one_kernel_per_new_vector(monkeypatch):
+    calls = []
+    kernel = _linalg.mod_p_kernel
+    monkeypatch.setattr(_linalg, "mod_p_kernel", lambda mat, p: calls.append(p) or kernel(mat, p))
+    for m, p in ((pn_model.s_rep(2, -5), 5), (rep_lab.generic_rep(kronecker_quiver(3), (4, 4), 2), 3)):
+        calls.clear()
+        found = rep_lab._enum_two_vertex(m, p)
+        assert 0 < len(calls) <= len(found)
+
+
 def test_subrep_certification_ignores_the_hash_seed():
     # a certifier seeded from hash(m), which hashes the quiver name,
     # certifies (2, 2) of this representation under hash seed 0 but not 2
@@ -399,6 +466,21 @@ def test_generic_rep_is_deterministic():
     q = kronecker_quiver(2)
     assert rep_lab.generic_rep(q, (3, 2), seed=9) == rep_lab.generic_rep(q, (3, 2), seed=9)
     assert rep_lab.generic_rep(q, (3, 2), seed=9) != rep_lab.generic_rep(q, (3, 2), seed=10)
+
+
+def test_matrix_mod_p_and_the_rep_hash():
+    rng = random.Random(58)
+    p = 10007
+    mat = [[Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 3, 7))) for _ in range(5)] for _ in range(4)]
+    want = [[x.numerator * pow(x.denominator, p - 2, p) % p for x in row] for row in mat]
+    assert rep_lab._matrix_mod_p(mat, p).tolist() == want
+    assert rep_lab._matrix_mod_p([[], []], p).shape == (2, 0)
+    q = kronecker_quiver(2)
+    a = _random_rep(q, rng, dims=(3, 2))
+    b = rep_lab.make_rep(q, a.dims, a.matrices)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash(a) == hash((a.quiver, a.dims, a.matrices))
+    assert b == a and repr(a) == repr(b)
 
 
 def test_structural_helpers():
