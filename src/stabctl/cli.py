@@ -2,7 +2,8 @@
 
 Data commands read and write JSON with sorted keys and no whitespace, so
 output is stable across runs and safe to diff in shell pipelines.  Exit
-codes: 0 success, 1 negative result, 2 bad input, 3 oracle bound exceeded.
+codes: 0 success, 1 negative result, 2 bad input, 3 oracle bound exceeded
+(only hn consults the oracle).
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def cmd_build(args) -> int:
 
 def cmd_member(args) -> int:
     point = _load_point(args.point)
-    member = pn_model.theta_member(point, args.chart, bound=args.oracle_bound)
+    member = pn_model.theta_member(point, args.chart)
     _emit({"chart": args.chart, "member": member})
     return 0 if member else 1
 
@@ -147,9 +148,7 @@ def _read_source_rep(value: str) -> str:
 def cmd_stable_pair(args) -> int:
     point = _load_point(args.point)
     try:
-        offset = pn_model.find_stable_pair(
-            point, window=args.window, bound=args.oracle_bound
-        )
+        offset = pn_model.find_stable_pair(point, window=args.window)
     except pn_model.StablePairNotFound:
         _emit({"found": False, "window": args.window})
         return 1
@@ -164,7 +163,6 @@ def cmd_overlap(args) -> int:
         args.other,
         samples=args.samples,
         seed=args.seed,
-        bound=args.oracle_bound,
     )
     _emit(report)
     return 0 if not report["counterexamples"] else 1
@@ -251,10 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--charges", required=True, metavar="Z0,Z1,...")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("member", help="chart membership through the oracle")
+    p = sub.add_parser("member", help="chart membership of a point")
     p.add_argument("--point", required=True, help="point JSON, inline or a file path")
     p.add_argument("--chart", type=int, required=True)
-    p.add_argument("--oracle-bound", type=int)
+    p.add_argument(
+        "--oracle-bound", type=int, help="accepted and unused: no oracle call here"
+    )
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("hn", help="filtration of a representation")
@@ -268,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stable-pair", help="find a chart whose pair is stable")
     p.add_argument("--point", required=True)
     p.add_argument("--window", type=int, default=20)
-    p.add_argument("--oracle-bound", type=int)
+    p.add_argument(
+        "--oracle-bound", type=int, help="accepted and unused: no oracle call here"
+    )
     p.set_defaults(func=cmd_stable_pair)
 
     p = sub.add_parser("overlap", help="scan chart membership against the orbit")
@@ -277,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", type=int, required=True)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-bound", type=int)
+    p.add_argument(
+        "--oracle-bound", type=int, help="accepted and unused: no oracle call here"
+    )
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("witness", help="a point on two adjacent charts")

@@ -1,11 +1,15 @@
 """Complete stability picture over the two-vertex quiver with n arrows.
 
 The lattice classes, the helix of rigid modules, the adjacent-pair chart
-system, the half-pixel membership test, and the Monte Carlo overlap scan
-all live here.  The helix has one construction: kernels of universal maps
-going left, vector-space duals of those going right, and every module
-certified rigid.  Everything is exact rational arithmetic; the only
-floating point in the package stays in the metric helpers.
+system, chart membership, the reference orbit, and the Monte Carlo overlap
+scan all live here.  The helix has one construction: kernels of universal
+maps going left, vector-space duals of those going right, and every module
+certified rigid.  Membership and the orbit are read from the phase gap of
+the two tokens without the oracle: the stability chamber of the helix
+modules is a gap in (0, 1) (King 1994; Schofield, "Semi-invariants of
+quivers", 1991), and so is the GL~+(2,R) orbit of sigma_{-1}.  Everything
+is exact rational arithmetic; the only floating point in the package stays
+in the metric helpers.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from . import _linalg
 from . import exc_collections as xc
 from . import rep_lab
 from .chart_atlas import ChartPoint, build_stability, tokens_from_data, tokens_to_data
-from .gl_action import GLTildeElement, act_tokens, orbit_solve
+from .gl_action import GLTildeElement, act_tokens
 from .klattice import (
-    CentralCharge,
     EulerMatrix,
     GaussianRational,
     PhaseToken,
@@ -30,6 +33,7 @@ from .klattice import (
     gauss,
     in_half_plane,
     kronecker_quiver,
+    phase_compare,
 )
 
 __all__ = [
@@ -302,24 +306,16 @@ def _cross(a: GaussianRational, b: GaussianRational) -> Fraction:
     return a.re * b.im - a.im * b.re
 
 
-_REF_CHARGES = (gauss(-1), gauss(1, 1))
-
-
-def _recursion_module(n: int, j: int):
-    if n == 1:
-        return helix_module(1, j)[0]
-    return s_rep(n, j)
-
-
 def theta_member(point: PnPoint, k: int, bound: int | None = None) -> bool:
     """Whether S_k and S_{k+1} are both stable at the presented point.
 
-    The winding gap between the two tokens sorts the presentation into a
-    heart type.  A gap of one is a module heart and the question goes to
-    the representation oracle; a gap of two or more makes the heart
-    semisimple, so only the defining pair survives; a gap of zero is first
-    pushed back to the reference charges by the plane action.  Degenerate
-    rank-one charges leave only the defining pair stable as well.
+    Read from the two tokens alone; bound is ignored.  A winding gap of one
+    is a module heart, where each non-simple S_j, the general rep of a real
+    Schur root, is stable exactly when the sink charge has lower phase than
+    the source, c < 0 (King 1994; Schofield 1991); for c > 0 only pairs of
+    simples survive, every third chart for one arrow.  A gap of zero with
+    c > 0 is in the reference orbit, stable on every chart.  Wider gaps and
+    rank-one charges leave only the defining pair.
     """
     kk = k - point.base
     t0, t1 = point.tokens
@@ -327,40 +323,27 @@ def theta_member(point: PnPoint, k: int, bound: int | None = None) -> bool:
     if delta < 0:
         raise ValueError("phase order is wrong for a chart presentation")
     c = _cross(t0.z, t1.z)
-    if c == 0:
-        if delta == 0:
-            raise ValueError("coincident phases support no chart presentation")
-        return kk == 0
-    if delta >= 2:
-        return kk == 0
     if delta == 0:
+        if c == 0:
+            raise ValueError("coincident phases support no chart presentation")
         if c < 0:
             raise ValueError("phase order is wrong for a chart presentation")
-        g = GLTildeElement(
-            (
-                (t0.z.re, t1.z.re - t0.z.re),
-                (t0.z.im, t1.z.im - t0.z.im),
-            ),
-            0,
-        )
-        moved = act_tokens(g, point.tokens)
-        if (moved[0].z, moved[1].z) != _REF_CHARGES:
-            raise RuntimeError("normalization missed the reference charges")
-        if moved[1].winding - moved[0].winding != 1:
-            raise RuntimeError("normalization missed the module heart")
-        return theta_member(PnPoint(point.n, point.base, moved), k, bound)
-    charge = CentralCharge((t0.z, t1.z))
-    for j in (kk, kk + 1):
-        rep = _recursion_module(point.n, j)
-        if rep_lab.theta_test(rep, charge, bound).verdict != "stable":
-            return False
-    return True
+        return True
+    if c == 0 or delta >= 2:
+        return kk == 0
+    if c < 0:
+        return True
+    return kk % 3 == 0 if point.n == 1 else kk == 0
 
 
 def in_O_minus1(p: PnPoint) -> bool:
-    """Membership in the orbit of the reference point under the plane action."""
-    ref = sigma_minus1_presented(p.n, p.base)
-    return orbit_solve(ref, chart_point(p)) is not None
+    """Membership in the orbit of the reference point under the plane action.
+
+    The action moves both charges as an oriented basis and the phases with
+    them, so the orbit is the points whose phase gap is in (0, 1).
+    """
+    t0, t1 = p.tokens
+    return phase_compare(t1, t0) > 0 and phase_compare(t1, t0, offset=1) < 0
 
 
 class StablePairNotFound(RuntimeError):
@@ -381,7 +364,13 @@ class StablePairNotFound(RuntimeError):
 def find_stable_pair(
     point: PnPoint, window: int = 20, bound: int | None = None
 ) -> int:
-    """Index k with S_k, S_{k+1} both stable, searched outward from the base."""
+    """Index k with S_k, S_{k+1} both stable, searched outward from the base.
+
+    The base chart always answers: at kk = 0 the pair is the two vertex
+    simples, which are stable at every charge, so the search never moves
+    and bound is ignored.  StablePairNotFound stays as the reportable
+    failure of a search that finds nothing.
+    """
     offsets = [0]
     for r in range(1, window + 1):
         offsets.extend((r, -r))
@@ -495,9 +484,10 @@ def overlap_scan(
 ) -> dict:
     """Monte Carlo check that chart overlap agrees with orbit membership.
 
-    Points are sampled on the chart at k and asked two independent
-    questions: does the membership test put them on the chart at h, and
-    does the orbit solver reach them from the reference point.  Any
+    Points are sampled on the chart at k and asked two questions: does the
+    membership test put them on the chart at h, and are they in the orbit
+    of the reference point.  Both are closed forms in the phase gap, so
+    this checks formula against formula; bound is ignored.  Any
     disagreement is returned as a counterexample.
     """
     if k == h:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import chart_atlas as ca
 from . import exc_collections as xc
+from . import gl_action
 from . import pn_model as pn
 from . import rep_lab
 from .klattice import (
@@ -255,7 +256,44 @@ def suite_sigma_fixture() -> SuiteResult:
     )
 
 
-# -- suite 5: chart membership against the orbit solver ---------------------
+# -- suite 5: chart membership against the oracle and the orbit solver ----
+
+
+def _member_by_oracle(point: pn.PnPoint, k: int, bound: int = 12) -> bool:
+    """Chart membership through King's test on the two modules of chart k.
+
+    The reference for the closed form of pn.theta_member: a winding gap of
+    one asks theta_test, a gap of zero is first moved to the reference
+    charges by the plane action, and wider gaps or rank-one charges keep
+    only the defining pair.
+    """
+    kk = k - point.base
+    t0, t1 = point.tokens
+    delta = t1.winding - t0.winding
+    c = pn._cross(t0.z, t1.z)
+    if delta < 0 or (delta == 0 and c <= 0):
+        raise ValueError("not a chart presentation")
+    if c == 0 or delta >= 2:
+        return kk == 0
+    if delta == 0:
+        g = gl_action.GLTildeElement(
+            ((t0.z.re, t1.z.re - t0.z.re), (t0.z.im, t1.z.im - t0.z.im)), 0
+        )
+        moved = gl_action.act_tokens(g, point.tokens)
+        if (moved[0].z, moved[1].z) != (gauss(-1), gauss(1, 1)):
+            raise RuntimeError("normalization missed the reference charges")
+        return _member_by_oracle(pn.PnPoint(point.n, point.base, moved), k, bound)
+    charge = CentralCharge((t0.z, t1.z))
+    for j in (kk, kk + 1):
+        rep = pn.helix_module(1, j)[0] if point.n == 1 else pn.s_rep(point.n, j)
+        if rep_lab.theta_test(rep, charge, bound).verdict != "stable":
+            return False
+    return True
+
+
+def _orbit_by_solver(point: pn.PnPoint) -> bool:
+    ref = pn.sigma_minus1_presented(point.n, point.base)
+    return gl_action.orbit_solve(ref, pn.chart_point(point)) is not None
 
 
 def suite_overlap() -> SuiteResult:
@@ -264,13 +302,29 @@ def suite_overlap() -> SuiteResult:
     cases = 0
     for n in (2, 3):
         for k, h in ((0, 1), (0, 2), (1, 2)):
-            report = pn.overlap_scan(n, k, h, samples=500, seed=100 * n + 10 * k + h, bound=12)
+            seed = 100 * n + 10 * k + h
+            report = pn.overlap_scan(n, k, h, samples=500, seed=seed)
             cases += report["samples"]
             for ce in report["counterexamples"]:
                 failures.append(
                     f"n={n} charts ({k},{h}): member {ce['member']} orbit {ce['orbit']} "
                     f"at {ce['point']}"
                 )
+            for i in range(report["samples"]):
+                # the same draw overlap_scan made for sample i
+                point = pn._sample_point(n, k, random.Random(f"{seed}:{i}"))
+                member = pn.theta_member(point, h)
+                if member != _member_by_oracle(point, h, 12):
+                    failures.append(
+                        f"n={n} charts ({k},{h}): member {member} disagrees with "
+                        f"the oracle at {point.to_data()}"
+                    )
+                orbit = pn.in_O_minus1(point)
+                if orbit != _orbit_by_solver(point):
+                    failures.append(
+                        f"n={n} chart {k}: orbit {orbit} disagrees with the orbit "
+                        f"solver at {point.to_data()}"
+                    )
     return SuiteResult("overlap", cases, tuple(failures), time.perf_counter() - start)
 
 
@@ -287,7 +341,7 @@ def suite_stable_pair() -> SuiteResult:
         point = pn._sample_point(2, base, rng)
         cases += 1
         try:
-            pn.find_stable_pair(point, window=20, bound=12)
+            pn.find_stable_pair(point, window=20)
         except pn.StablePairNotFound as exc:
             failures.append(f"trial={trial} base={base}: {exc}")
     return SuiteResult("stable-pair", cases, tuple(failures), time.perf_counter() - start)
@@ -438,7 +492,7 @@ def suite_witness() -> SuiteResult:
         )
         point = pn.PnPoint(n, 0, w.point.tokens)
         for k in (0, 1):
-            if not pn.theta_member(point, k, 12):
+            if not pn.theta_member(point, k):
                 failures.append(f"n={n}: witness point left the chart at {k}")
 
     c = _triangle_collection()
@@ -474,8 +528,8 @@ def suite_aut() -> SuiteResult:
             t = rng.randint(-2, 2)
             k = base + rng.randint(0, 1)
             cases += 1
-            if pn.theta_member(point, k, 12) != pn.theta_member(
-                pn.aut_shift(point, t), k + t, 12
+            if pn.theta_member(point, k) != pn.theta_member(
+                pn.aut_shift(point, t), k + t
             ):
                 failures.append(
                     f"n={n} trial={trial}: membership at {k} moved under translation {t}"

@@ -119,11 +119,27 @@ def test_member_both_verdicts(capsys):
 
 
 def test_member_respects_the_oracle_bound(capsys):
-    code, _, err = run(
+    # membership is read from the phase gap, so the bound is accepted and
+    # never reached: S_9 and S_10 (total dimension 17 and 19) are not built,
+    # and the reference point lies on every chart
+    code, out, err = run(
         capsys, ["member", "--point", SIGMA, "--chart", "9", "--oracle-bound", "8"]
     )
-    assert code == 3
-    assert "total dimension 17 exceeds the oracle bound 8" in err
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"chart": 9, "member": True}
+
+
+def test_hn_past_the_oracle_bound_exits_3(capsys):
+    rep = "rep p2 2 3\n1 0\n0 1\n0 0\n0 0\n1 0\n0 1\n"
+    code, out, err = run(
+        capsys, ["hn", "--rep", rep, "--charge=-1,1+1i", "--oracle-bound", "4"]
+    )
+    assert code == 3 and out == ""
+    assert "error: total dimension 5 exceeds the oracle bound 4" in err
+    code, _, _ = run(
+        capsys, ["hn", "--rep", rep, "--charge=-1,1+1i", "--oracle-bound", "5"]
+    )
+    assert code == 0
 
 
 def test_oracle_bound_leaves_the_environment_alone(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabctl import gl_action, pn_model, rep_lab
+from stabctl import gl_action, pn_model, rep_lab, verify
 from stabctl.klattice import CentralCharge, PhaseToken, euler_pair, gauss
 
 
@@ -206,7 +206,63 @@ def test_overlap_scan_small():
 
 
 def test_presented_reference_matches_chart():
-    for n in (2, 3):
+    for n in (1, 2, 3):
         for m in (-1, 0, 2):
             chart = pn_model.sigma_minus1_presented(n, m)
             assert pn_model.in_O_minus1(pn_model.PnPoint(n, m, chart.tokens))
+
+
+def _check_closed_forms(n, charts, draws, bound):
+    for trial in range(draws):
+        rng = random.Random(f"closed:{n}:{trial}")
+        base = rng.randint(-2, 2)
+        point = pn_model._sample_point(n, base, rng)
+        assert pn_model.in_O_minus1(point) == verify._orbit_by_solver(point)
+        for kk in charts:
+            want = verify._member_by_oracle(point, base + kk, bound)
+            assert pn_model.theta_member(point, base + kk) == want, (point, kk)
+
+
+def test_closed_forms_match_the_oracle_and_the_orbit_solver():
+    # the search windows keep every module within the oracle bound 12:
+    # S_-3..S_4 for one and two arrows, S_-2..S_3 for three
+    for n, window in ((1, 3), (2, 3), (3, 2)):
+        _check_closed_forms(n, range(-window, window + 1), 60, 12)
+
+
+def test_closed_forms_match_the_oracle_on_four_arrows():
+    # charts -2..2 meet S(4, -2)..S(4, 3), total dimension at most 19
+    assert pn_model.s_rep(4, -2).dims == (15, 4)
+    _check_closed_forms(4, range(-2, 3), 60, 20)
+
+
+def test_chart_answers_past_the_oracle_bound(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chart path reached the oracle")
+
+    monkeypatch.setattr(rep_lab, "theta_test", refuse)
+    monkeypatch.setattr(pn_model, "s_rep", refuse)
+    monkeypatch.setattr(gl_action, "orbit_solve", refuse)
+    # the tokens of sigma_minus1, written out: building it reads S_0, S_1
+    sigma = (PhaseToken(gauss(-1), -1), PhaseToken(gauss(1, 1), 0))
+    rng = random.Random(9)
+    for n in (3, 4):
+        for base in (-9, 9):
+            ref = pn_model.PnPoint(n, base, sigma)
+            assert pn_model.in_O_minus1(ref)
+            assert all(pn_model.theta_member(ref, base + kk) for kk in (-1, 0, 1))
+            assert pn_model.find_stable_pair(ref) == base
+            wide = pn_model.PnPoint(
+                n,
+                base,
+                (
+                    PhaseToken(pn_model._random_half_plane(rng), 0),
+                    PhaseToken(pn_model._random_half_plane(rng), 2),
+                ),
+            )
+            assert not pn_model.in_O_minus1(wide)
+            assert pn_model.theta_member(wide, base)
+            assert not pn_model.theta_member(wide, base + 1)
+            assert pn_model.find_stable_pair(wide, window=2) == base
+        origin = pn_model.PnPoint(n, 0, sigma)
+        assert all(pn_model.theta_member(origin, k) for k in (-9, 9))
