@@ -480,15 +480,14 @@ def overlap_scan(
     h: int,
     samples: int = 500,
     seed: int = 0,
-    bound: int | None = None,
 ) -> dict:
     """Monte Carlo check that chart overlap agrees with orbit membership.
 
     Points are sampled on the chart at k and asked two questions: does the
     membership test put them on the chart at h, and are they in the orbit
     of the reference point.  Both are closed forms in the phase gap, so
-    this checks formula against formula; bound is ignored.  Any
-    disagreement is returned as a counterexample.
+    this checks formula against formula.  Any disagreement is returned
+    as a counterexample.
     """
     if k == h:
         raise ValueError("overlap needs two distinct chart indices")
@@ -497,7 +496,7 @@ def overlap_scan(
     for i in range(samples):
         rng = random.Random(f"{seed}:{i}")
         point = _sample_point(n, k, rng)
-        member = theta_member(point, h, bound)
+        member = theta_member(point, h)
         orbit = in_O_minus1(point)
         if member == orbit:
             agree += 1

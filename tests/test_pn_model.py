@@ -198,7 +198,7 @@ def test_find_stable_pair_prefers_the_base_chart():
 
 
 def test_overlap_scan_small():
-    report = pn_model.overlap_scan(2, 0, 1, samples=40, seed=7, bound=12)
+    report = pn_model.overlap_scan(2, 0, 1, samples=40, seed=7)
     assert report["agree"] == 40
     assert report["counterexamples"] == []
     with pytest.raises(ValueError):
