@@ -24,12 +24,6 @@ from .klattice import (
 )
 
 
-def k_min(source, i: int, j: int):
-    """Minimal nonzero Hom degree of the (i, j) entry; +inf when empty."""
-    table = source.table if isinstance(source, xc.ExcCollection) else source
-    return table.min_degree(i, j)
-
-
 def alpha(table: xc.HomTable, subset) -> float:
     """Phase-gap exponent of an ordered index subset (int, or +inf)."""
     sub = tuple(subset)

@@ -147,12 +147,7 @@ def _read_source_rep(value: str) -> str:
 
 def cmd_stable_pair(args) -> int:
     point = _load_point(args.point)
-    try:
-        offset = pn_model.find_stable_pair(point, window=args.window)
-    except pn_model.StablePairNotFound:
-        _emit({"found": False, "window": args.window})
-        return 1
-    _emit({"found": True, "chart": offset})
+    _emit({"found": True, "chart": pn_model.find_stable_pair(point, window=args.window)})
     return 0
 
 

@@ -6,6 +6,12 @@ the Euler pairing of the ambient lattice.  Tables track exactness per entry:
 after a mutation an entry is either forced by the long-exact-sequence degree
 bound together with the Euler pairing, or it is marked unknown (None) until
 resolved from outside.
+
+Left and right mutation share one construction: one object of the pair is
+kept and moves past the other, which is replaced by the cone, up to shift,
+of the universal map between them.  The two directions differ only in which
+object is kept and in the sign of the degree bounds, since a left mutation
+is a right mutation in the opposite category (Bondal 1989).
 """
 
 from __future__ import annotations
@@ -128,17 +134,6 @@ class HomTable:
         return f"HomTable({self.size}, {', '.join(parts)})"
 
 
-def table_compatible(a: HomTable, b: HomTable) -> bool:
-    """Entries exact on both sides must agree; unknowns match anything."""
-    if a.size != b.size:
-        return False
-    for (i, j), ea in a.items():
-        eb = b.entry(i, j)
-        if ea is not None and eb is not None and ea != eb:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ExcCollection:
     objects: tuple[ExcObject, ...]
@@ -186,15 +181,6 @@ def make_collection(objects, table: HomTable, euler: EulerMatrix) -> ExcCollecti
     return ExcCollection(objects, table, euler)
 
 
-def mutate_class(euler: EulerMatrix, e: KClass, f: KClass, direction: str) -> KClass:
-    chi = euler_pair(euler, e, f)
-    if direction == LEFT:
-        return tuple(chi * a - b for a, b in zip(e, f))
-    if direction == RIGHT:
-        return tuple(chi * b - a for a, b in zip(e, f))
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def _shift_set(s: frozenset[int] | None, k: int) -> frozenset[int] | None:
     return None if s is None else frozenset(x + k for x in s)
 
@@ -229,70 +215,53 @@ def _entry_from_bound(dset: frozenset[int] | None, chi: int, where: str) -> dict
 
 
 def mutate(c: ExcCollection, i: int, direction: str) -> ExcCollection:
-    """Mutate the adjacent pair (i, i+1); left keeps E_i second, right keeps E_{i+1} first."""
+    """Mutate the adjacent pair (E, F) = (E_i, E_{i+1}).
+
+    The kept object K moves past the mutated object M and M becomes N.
+    Left mutation keeps E, giving (L[E](F), E); right mutation keeps F,
+    giving (F, R[F](E)).  N has class chi(E, F) K - M.  With s = +1 for
+    left and -1 for right and S the degrees of Hom(E, F), the triangle
+    relating K, M and N bounds the degrees of N against every other object:
+    Hom(X, N) lies in (Hom(X, K) + sS) | (Hom(X, M) + s) and Hom(N, Y) in
+    (Hom(K, Y) - sS) | (Hom(M, Y) - s).
+    """
     n = c.size
     if not (0 <= i < n - 1):
         raise ValueError(f"no adjacent pair at {i}")
-    if direction not in (LEFT, RIGHT):
+    if direction == LEFT:
+        kp, mp, s, letter = i, i + 1, 1, "L"
+    elif direction == RIGHT:
+        kp, mp, s, letter = i + 1, i, -1, "R"
+    else:
         raise ValueError(f"unknown direction {direction!r}")
     pair = c.table.entry(i, i + 1)
     if pair is None:
         raise ValueError(f"cannot mutate: entry ({i},{i + 1}) is unknown")
 
-    e_obj, f_obj = c.objects[i], c.objects[i + 1]
-    new_class = mutate_class(c.euler, e_obj.kclass, f_obj.kclass, direction)
-    if direction == LEFT:
-        new_label = f"L[{e_obj.label}]({f_obj.label})"
-        new_pair_objs = (ExcObject(new_label, new_class), e_obj)
-    else:
-        new_label = f"R[{f_obj.label}]({e_obj.label})"
-        new_pair_objs = (f_obj, ExcObject(new_label, new_class))
-
+    k_obj, m_obj = c.objects[kp], c.objects[mp]
+    chi = c.chi(i, i + 1)
+    new_class = tuple(chi * a - b for a, b in zip(k_obj.kclass, m_obj.kclass))
     objects = list(c.objects)
-    objects[i : i + 2] = list(new_pair_objs)
-
-    s_pair = frozenset(pair)
-    dual_pair = {-k: d for k, d in pair.items()}
+    # K takes M's position and N takes K's
+    objects[mp] = k_obj
+    objects[kp] = ExcObject(f"{letter}[{k_obj.label}]({m_obj.label})", new_class)
 
     supp = c.table.support
-    entries: dict[tuple[int, int], dict[int, int] | None] = {}
-    # pairs not touching positions i, i+1 keep their content
-    for (a, b), e in c.table.items():
-        if a in (i, i + 1) or b in (i, i + 1):
+    entries: dict[tuple[int, int], dict[int, int] | None] = {
+        (a, b): e for (a, b), e in c.table.items() if a not in (i, i + 1) and b not in (i, i + 1)
+    }
+    entries[(i, i + 1)] = {-k: d for k, d in pair.items()}
+    for j in range(n):
+        if j in (i, i + 1):
             continue
-        entries[(a, b)] = e
-    entries[(i, i + 1)] = dual_pair
-
-    def bounded(a: int, b: int, dset: frozenset[int] | None) -> None:
-        chi = euler_pair(c.euler, objects[a].kclass, objects[b].kclass)
-        entries[(a, b)] = _entry_from_bound(dset, chi, f"({a},{b})")
-
-    if direction == RIGHT:
-        # new pair at (i, i+1) is (F, R)
-        for j in range(n):
-            if j in (i, i + 1):
-                continue
-            if j < i:
-                entries[(j, i)] = c.table.entry(j, i + 1)
-                dset = _union(_sum_sets(supp(j, i + 1), frozenset(-k for k in s_pair)), _shift_set(supp(j, i), -1))
-                bounded(j, i + 1, dset)
-            else:
-                entries[(i, j)] = c.table.entry(i + 1, j)
-                dset = _union(_shift_set(supp(i, j), 1), _sum_sets(s_pair, supp(i + 1, j)))
-                bounded(i + 1, j, dset)
-    else:
-        # new pair at (i, i+1) is (L, E)
-        for j in range(n):
-            if j in (i, i + 1):
-                continue
-            if j < i:
-                entries[(j, i + 1)] = c.table.entry(j, i)
-                dset = _union(_shift_set(supp(j, i + 1), 1), _sum_sets(supp(j, i), s_pair))
-                bounded(j, i, dset)
-            else:
-                entries[(i + 1, j)] = c.table.entry(i, j)
-                dset = _union(_sum_sets(supp(i, j), frozenset(-k for k in s_pair)), _shift_set(supp(i + 1, j), -1))
-                bounded(i, j, dset)
+        # jk keys X_j against position kp (K before, N after), jm against
+        # mp (M before, K after); t is s for Hom(X_j, N), -s for Hom(N, X_j)
+        jk, jm, t = ((j, kp), (j, mp), s) if j < i else ((kp, j), (mp, j), -s)
+        entries[jm] = c.table.entry(*jk)
+        k_branch = _sum_sets(supp(*jk), frozenset(t * k for k in pair))
+        dset = _union(k_branch, _shift_set(supp(*jm), t))
+        pairing = euler_pair(c.euler, objects[jk[0]].kclass, objects[jk[1]].kclass)
+        entries[jk] = _entry_from_bound(dset, pairing, f"({jk[0]},{jk[1]})")
 
     return make_collection(objects, HomTable(n, entries), c.euler)
 

@@ -8,10 +8,9 @@ on stability data is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .chart_atlas import ChartPoint
 from .klattice import (
     GaussianRational,
     PhaseToken,
@@ -83,7 +82,6 @@ class GLTildeElement:
 
 
 IDENTITY = GLTildeElement(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), 0)
-SHIFT_ONE = GLTildeElement(((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))), 0)
 
 
 def lift_apply(g: GLTildeElement, token: PhaseToken) -> PhaseToken:
@@ -122,13 +120,8 @@ def act_tokens(g: GLTildeElement, tokens) -> tuple[PhaseToken, ...]:
     return tuple(lift_apply(inv, t) for t in tokens)
 
 
-def act(g: GLTildeElement, point: ChartPoint) -> ChartPoint:
-    """Right action on stability data: charges by the matrix inverse, phases by the inverse lift."""
-    return replace(point, tokens=act_tokens(g, point.tokens))
-
-
 def orbit_solve(p, q) -> GLTildeElement | None:
-    """Element g with act(g, p) = q, or None when the points are not related.
+    """Element g moving p.tokens to q.tokens by act_tokens, or None when unrelated.
 
     Solves the matrix from two independent charge columns, the lift from one
     winding, then verifies every token exactly.

@@ -315,7 +315,8 @@ def theta_member(point: PnPoint, k: int, bound: int | None = None) -> bool:
     the source, c < 0 (King 1994; Schofield 1991); for c > 0 only pairs of
     simples survive, every third chart for one arrow.  A gap of zero with
     c > 0 is in the reference orbit, stable on every chart.  Wider gaps and
-    rank-one charges leave only the defining pair.
+    rank-one charges leave only the defining pair, which for one arrow
+    recurs every third chart, since S_{j+3} = S_j[-1].
     """
     kk = k - point.base
     t0, t1 = point.tokens
@@ -329,9 +330,7 @@ def theta_member(point: PnPoint, k: int, bound: int | None = None) -> bool:
         if c < 0:
             raise ValueError("phase order is wrong for a chart presentation")
         return True
-    if c == 0 or delta >= 2:
-        return kk == 0
-    if c < 0:
+    if delta == 1 and c < 0:
         return True
     return kk % 3 == 0 if point.n == 1 else kk == 0
 
@@ -364,20 +363,15 @@ class StablePairNotFound(RuntimeError):
 def find_stable_pair(
     point: PnPoint, window: int = 20, bound: int | None = None
 ) -> int:
-    """Index k with S_k, S_{k+1} both stable, searched outward from the base.
+    """Index k with S_k, S_{k+1} both stable: always the base chart.
 
-    The base chart always answers: at kk = 0 the pair is the two vertex
-    simples, which are stable at every charge, so the search never moves
-    and bound is ignored.  StablePairNotFound stays as the reportable
-    failure of a search that finds nothing.
+    At kk = 0 the pair is the two vertex simples, which are stable at every
+    charge, so window and bound are ignored; theta_member still validates
+    the presentation.  StablePairNotFound stays as the reportable failure
+    of a search.
     """
-    offsets = [0]
-    for r in range(1, window + 1):
-        offsets.extend((r, -r))
-    for off in offsets:
-        if theta_member(point, point.base + off, bound):
-            return point.base + off
-    raise StablePairNotFound(point, window)
+    theta_member(point, point.base)
+    return point.base
 
 
 def aut_shift(p: PnPoint, t: int) -> PnPoint:

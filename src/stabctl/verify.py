@@ -265,9 +265,12 @@ def _member_by_oracle(point: pn.PnPoint, k: int, bound: int = 12) -> bool:
     The reference for the closed form of pn.theta_member: a winding gap of
     one asks theta_test, a gap of zero is first moved to the reference
     charges by the plane action, and wider gaps or rank-one charges keep
-    only the defining pair.
+    only the defining pair.  One arrow's helix repeats up to shift every
+    three charts, so its chart offset is read mod 3.
     """
     kk = k - point.base
+    if point.n == 1:
+        kk %= 3
     t0, t1 = point.tokens
     delta = t1.winding - t0.winding
     c = pn._cross(t0.z, t1.z)
@@ -534,6 +537,13 @@ def suite_aut() -> SuiteResult:
                 failures.append(
                     f"n={n} trial={trial}: membership at {k} moved under translation {t}"
                 )
+            if n == 1:
+                # S_{j+3} = S_j[-1]: one arrow's charts repeat every third step
+                cases += 1
+                if pn.theta_member(point, k) != pn.theta_member(point, k + 3 * t):
+                    failures.append(
+                        f"n=1 trial={trial}: membership at {k} and {k + 3 * t} differ"
+                    )
     return SuiteResult("aut", cases, tuple(failures), time.perf_counter() - start)
 
 

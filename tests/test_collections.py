@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +44,66 @@ def _random_collection(rng: random.Random, size: int):
     return _basis_collection(entries, rows)
 
 
+def _random_open_collection(rng: random.Random, size: int):
+    """Random table with unknown entries and entries over one or two degrees."""
+    entries = {}
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            chi = rng.randint(-3, 3)
+            rows[i][j] = chi
+            roll = rng.random()
+            if roll < 0.25:
+                entries[(i, j)] = None
+                continue
+            # (-1)**k has the sign of chi
+            k = 2 * rng.randint(-1, 1) + (chi < 0)
+            extra = rng.randint(1, 2) if roll < 0.5 else 0
+            if chi or extra:
+                entries[(i, j)] = {k: abs(chi) + extra, k + 1: extra}
+    return _basis_collection(entries, rows)
+
+
+def _opposite(c):
+    """The opposite collection: order reversed, entry (i, j) moved to
+    (n-1-j, n-1-i) with the same degrees, Euler matrix transposed."""
+    n = c.size
+    entries = {(n - 1 - j, n - 1 - i): e for (i, j), e in c.table.items()}
+    euler = EulerMatrix(tuple(zip(*c.euler.entries)))
+    return xc.make_collection(c.objects[::-1], xc.HomTable(n, entries), euler)
+
+
+def test_left_mutation_is_right_mutation_of_the_opposite():
+    rng = random.Random(33)
+    exact = unknown = 0
+    for _ in range(400):
+        size = rng.randint(2, 6)
+        c = _random_open_collection(rng, size)
+        op = _opposite(c)
+        assert _opposite(op) == c
+        for i in range(size - 1):
+            if c.table.entry(i, i + 1) is None:
+                with pytest.raises(ValueError):
+                    xc.mutate(c, i, xc.LEFT)
+                with pytest.raises(ValueError):
+                    xc.mutate(op, size - 2 - i, xc.RIGHT)
+                continue
+            left = xc.mutate(c, i, xc.LEFT)
+            dual = _opposite(xc.mutate(op, size - 2 - i, xc.RIGHT))
+            new = dual.objects[i]
+            assert new.label.startswith("R[")
+            objects = list(dual.objects)
+            objects[i] = replace(new, label="L" + new.label[1:])
+            assert left == replace(dual, objects=tuple(objects))
+            for j in range(size):
+                if j not in (i, i + 1):
+                    e = left.table.entry(min(i, j), max(i, j))
+                    exact += e is not None
+                    unknown += e is None
+    # both outcomes of the degree bound occur
+    assert exact > 200 and unknown > 200
+
+
 def test_make_collection_rejects_table_euler_mismatch():
     with pytest.raises(ValueError):
         _basis_collection({(0, 1): {0: 2}}, ((1, 3), (0, 1)))
@@ -77,6 +138,19 @@ def test_mutation_bounds_give_exact_entries_when_one_branch_dies():
     # branch joined with the pair sum: only the pair sum survives
     assert right.table.entry(1, 2) == {0: 4}
     assert right.table.entry(0, 2) == {0: 2}
+
+
+def test_mutation_bound_branches_shift_by_the_pair_degrees_and_by_one():
+    # Hom(E0, E1) sits in degree 1, so each branch of the right bound
+    # Hom(R, E2) in (Hom(E1, E2) + S) | (Hom(E0, E2) + 1) lands in degree 1
+    via_kept = _basis_collection(
+        {(0, 1): {1: 2}, (1, 2): {0: 1}}, ((1, -2, 0), (0, 1, 1), (0, 0, 1))
+    )
+    assert xc.mutate(via_kept, 0, xc.RIGHT).table.entry(1, 2) == {1: 2}
+    via_mutated = _basis_collection(
+        {(0, 1): {1: 2}, (0, 2): {0: 3}}, ((1, -2, 3), (0, 1, 0), (0, 0, 1))
+    )
+    assert xc.mutate(via_mutated, 0, xc.RIGHT).table.entry(1, 2) == {1: 3}
 
 
 def test_mutation_bounds_leave_ambiguous_entries_unknown():

@@ -169,6 +169,20 @@ def test_degenerate_ray_membership():
         assert not pn_model.theta_member(point, -1, 12)
 
 
+def test_single_arrow_membership_repeats_every_third_chart():
+    # S_{j+3} = S_j[-1] for one arrow, so charts kk and kk + 3 carry the
+    # same pair up to shift; a gap of two and a degenerate ray (c = 0)
+    wide = pn_model.PnPoint(1, 0, (PhaseToken(gauss(-1, 1), 0), PhaseToken(gauss(1, 1), 2)))
+    ray = pn_model.PnPoint(1, 0, (PhaseToken(gauss(1, 1), 0), PhaseToken(gauss(2, 2), 1)))
+    for point in (wide, ray):
+        for k in (-3, 0, 3, 6):
+            assert pn_model.theta_member(point, k)
+            assert verify._member_by_oracle(point, k)
+        for k in (-2, -1, 1, 2, 4):
+            assert not pn_model.theta_member(point, k)
+            assert not verify._member_by_oracle(point, k)
+
+
 def test_transport_law_on_random_points():
     for n in (1, 2, 3):
         for trial in range(25):
