@@ -85,10 +85,6 @@ class HomTable:
         if not (0 <= i < j < self.size):
             raise ValueError(f"bad pair ({i},{j})")
 
-    def is_exact(self, i: int, j: int) -> bool:
-        self._check(i, j)
-        return self._entries.get((i, j), {}) is not None
-
     def entry(self, i: int, j: int) -> dict[int, int] | None:
         self._check(i, j)
         e = self._entries.get((i, j), {})

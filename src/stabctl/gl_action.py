@@ -16,7 +16,6 @@ from .klattice import (
     PhaseToken,
     format_rational,
     in_half_plane,
-    parse_rational,
     phase_compare,
 )
 
@@ -74,14 +73,6 @@ class GLTildeElement:
             "g": [[format_rational(x) for x in row] for row in self.matrix],
             "lift": self.lift,
         }
-
-    @staticmethod
-    def from_data(data: dict) -> GLTildeElement:
-        rows = [[parse_rational(str(x)) for x in row] for row in data["g"]]
-        return GLTildeElement(_as_mat(rows), int(data.get("lift", 0)))
-
-
-IDENTITY = GLTildeElement(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), 0)
 
 
 def lift_apply(g: GLTildeElement, token: PhaseToken) -> PhaseToken:

@@ -156,8 +156,6 @@ def gauss(re, im=0) -> GaussianRational:
 
 
 ZERO = gauss(0)
-ONE = gauss(1)
-I = gauss(0, 1)
 
 
 def in_half_plane(z: GaussianRational) -> bool:

@@ -2,14 +2,14 @@
 
 The lattice classes, the helix of rigid modules, the adjacent-pair chart
 system, chart membership, the reference orbit, and the Monte Carlo overlap
-scan all live here.  The helix has one construction: kernels of universal
-maps going left, vector-space duals of those going right, and every module
-certified rigid.  Membership and the orbit are read from the phase gap of
-the two tokens without the oracle: the stability chamber of the helix
-modules is a gap in (0, 1) (King 1994; Schofield, "Semi-invariants of
-quivers", 1991), and so is the GL~+(2,R) orbit of sigma_{-1}.  Everything
-is exact rational arithmetic; the only floating point in the package stays
-in the metric helpers.
+scan all live here.  The helix has one construction: reflections at the
+sink going left (Bernstein, Gelfand and Ponomarev 1973), vector-space duals
+of those going right, and every module certified rigid.  Membership and
+the orbit are read from the phase gap of the two tokens without the
+oracle: the stability chamber of the helix modules is a gap in (0, 1)
+(King 1994; Schofield, "Semi-invariants of quivers", 1991), and so is the
+GL~+(2,R) orbit of sigma_{-1}.  Everything is exact rational arithmetic;
+the only floating point in the package stays in the metric helpers.
 """
 
 from __future__ import annotations
@@ -93,95 +93,40 @@ def _certify_rigid(rep) -> None:
         raise RuntimeError("helix recursion produced a non-rigid module")
 
 
-def _power_rep(rep, n: int):
-    out = rep
-    for _ in range(n - 1):
-        out = rep_lab.direct_sum(out, rep)
-    return out
+def _reflect(rep):
+    """The reflection at the sink, read back on the same quiver.
 
-
-def _backward_step(n: int, rep_b, rep_c, homs):
-    """Kernel of the universal map rep_b^n -> rep_c, with the new hom basis.
-
-    homs holds a basis of Hom(rep_b, rep_c); the returned basis spans
-    Hom(ker, rep_b) and is induced by the summand projections.
+    The new source is the kernel of (A_1 ... A_n): V_src^n -> V_snk, the
+    new sink is V_src, and arrow a takes a kernel vector to its a-th block,
+    so dims (d0, d1) become (n*d0 - d1, d0) (Bernstein, Gelfand and
+    Ponomarev, "Coxeter functors and Gabriel's theorem", 1973).
     """
-    big = _power_rep(rep_b, n)
-    db = rep_b.dims
-    kbases = []
-    for v in range(2):
-        rows = []
-        for i in range(rep_c.dims[v]):
-            row = []
-            for l in range(n):
-                hv = homs[l][v]
-                row.extend(hv[i][j] for j in range(db[v]))
-            rows.append(row)
-        kern = _linalg.frac_kernel(rows, n * db[v])
-        if len(kern) != n * db[v] - rep_c.dims[v]:
-            raise RuntimeError("universal map fails to be surjective")
-        kbases.append(tuple(tuple(x) for x in kern))
-    sub = rep_lab._sub_from_witness(big, tuple(kbases))
-    new_homs = []
-    for l in range(n):
-        per_v = []
-        for v in range(2):
-            per_v.append(
-                tuple(
-                    tuple(kbases[v][j][l * db[v] + i] for j in range(len(kbases[v])))
-                    for i in range(db[v])
-                )
-            )
-        new_homs.append(tuple(per_v))
-    return sub, tuple(new_homs)
-
-
-@lru_cache(maxsize=None)
-def _bchain(n: int, k: int):
-    """(N_k, N_{k+1}, basis of Hom(N_k, N_{k+1})) for k <= -1.
-
-    The left half of the helix: N_k is the kernel of the universal map
-    N_{k+1}^n -> N_{k+2}, certified rigid; s_rep dualizes these modules
-    for the right half.
-    """
-    q = kronecker_quiver(n)
-    if k == -1:
-        n0 = rep_lab.vertex_simple(q, 0)
-        nm1 = rep_lab.make_rep(
-            q,
-            (n, 1),
-            [[[Fraction(1 if j == l else 0) for j in range(n)]] for l in range(n)],
-        )
-        homs = tuple(
-            (
-                (tuple(Fraction(1 if j == l else 0) for j in range(n)),),
-                (),
-            )
-            for l in range(n)
-        )
-        _certify_rigid(nm1)
-        return nm1, n0, homs
-    nxt_b, nxt_c, nxt_h = _bchain(n, k + 1)
-    new_rep, new_h = _backward_step(n, nxt_b, nxt_c, nxt_h)
-    _certify_rigid(new_rep)
-    return new_rep, nxt_b, new_h
+    d0, d1 = rep.dims
+    n = len(rep.matrices)
+    rows = [[x for mat in rep.matrices for x in mat[i]] for i in range(d1)]
+    kern = _linalg.frac_kernel(rows, n * d0)
+    if len(kern) != n * d0 - d1:
+        raise RuntimeError("the arrows fail to be jointly surjective")
+    mats = [[[v[a * d0 + i] for v in kern] for i in range(d0)] for a in range(n)]
+    return rep_lab.make_rep(rep.quiver, (len(kern), d0), mats)
 
 
 @lru_cache(maxsize=None)
 def s_rep(n: int, k: int):
     """The k-th rigid module of the helix, n >= 2.
 
-    Kernels going left build S_k for k <= -1; going right, S_k is the
-    dual of S_{1-k}, since the vector-space dual takes preinjectives to
+    Going left, S_k for k <= -1 is the reflection at the sink of S_{k+1},
+    starting from the vertex simple S_0; an exceptional module is fixed up
+    to isomorphism by its dimension vector, so this is the kernel of the
+    universal map S_{k+1}^n -> S_{k+2}.  Going right, S_k is the dual of
+    S_{1-k}, since the vector-space dual takes preinjectives to
     preprojectives.  Every returned module is certified rigid.
     """
     if n < 2:
         raise ValueError("recursion is for two or more arrows; one arrow is periodic")
     if k == 0:
         return rep_lab.vertex_simple(kronecker_quiver(n), 0)
-    if k < 0:
-        return _bchain(n, k)[0]
-    rep = rep_lab.dual(s_rep(n, 1 - k))
+    rep = _reflect(s_rep(n, k + 1)) if k < 0 else rep_lab.dual(s_rep(n, 1 - k))
     _certify_rigid(rep)
     return rep
 
@@ -191,9 +136,9 @@ def helix_module(n: int, i: int):
     """(module, shift) with the i-th helix object the module shifted down.
 
     For one arrow the helix is periodic of order three up to shift, so the
-    modules repeat; otherwise s_rep supplies them, kernels going left and
-    duals going right, each certified rigid.  The lattice class is checked
-    against the closed recurrence on the spot.
+    modules repeat; otherwise s_rep supplies them, reflections going left
+    and duals going right, each certified rigid.  The lattice class is
+    checked against the closed recurrence on the spot.
     """
     if n < 1:
         raise ValueError("need at least one arrow")

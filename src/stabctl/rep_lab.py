@@ -650,7 +650,10 @@ def _subrep_general(m: QuiverRep) -> SubrepScan:
 
     per_prime = []
     for p in primes:
-        amats = [_matrix_mod_p(mat, p) for mat in m.matrices]
+        amats = [
+            _matrix_mod_p(mat, p).reshape(m.dims[t], m.dims[s])
+            for mat, (s, t) in zip(m.matrices, q.arrows)
+        ]
         lists = [list(_linalg.all_subspaces_mod_p(d, p)) for d in m.dims]
         found = {}
         def rec(v, chosen):

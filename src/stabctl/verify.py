@@ -344,9 +344,16 @@ def suite_stable_pair() -> SuiteResult:
         point = pn._sample_point(2, base, rng)
         cases += 1
         try:
-            pn.find_stable_pair(point, window=20)
-        except pn.StablePairNotFound as exc:
-            failures.append(f"trial={trial} base={base}: {exc}")
+            k = pn.find_stable_pair(point, window=20)
+            if k != base:
+                failures.append(f"trial={trial} base={base}: found chart {k}")
+            elif not _member_by_oracle(point, k):
+                failures.append(
+                    f"trial={trial} base={base}: the oracle finds the pair "
+                    f"unstable at {point.to_data()}"
+                )
+        except Exception as exc:  # any failure is a reportable case
+            failures.append(f"trial={trial} base={base}: {type(exc).__name__}: {exc}")
     return SuiteResult("stable-pair", cases, tuple(failures), time.perf_counter() - start)
 
 

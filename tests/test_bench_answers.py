@@ -1,0 +1,41 @@
+"""One tiny pass of each benchmark workload, with its answer checks.
+
+perfbench calls stabctl through signatures, exceptions and CLI flags that
+the package itself no longer needs: the ignored `bound` of `theta_member`
+and `find_stable_pair`, `StablePairNotFound`, `stable-pair --window`.  A
+change that breaks one of them fails here, not only in `perfbench/run.py`.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def _bench_runner():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_tiny_pass_answers_check(workload):
+    cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--workload", workload, "--seed", "1", "--tiny"]
+    # the environment run.py pins for every pass
+    proc = subprocess.run(
+        cmd, env=_bench_runner().child_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["problems"] == []
+    assert result["failed"] == 0
+    assert result["ops"] > 0

@@ -176,6 +176,15 @@ def test_hn_splits_the_zero_map_rep(capsys):
     )
 
 
+def test_hn_on_a_path_quiver(capsys):
+    rep = "rep q 1 1 1\n1\n1\n"
+    code, out, _ = run(
+        capsys, ["hn", "--quiver", "3;0>1,1>2", "--rep", rep, "--charge=1+1i,1i,-1"]
+    )
+    assert code == 0
+    assert [f["dims"] for f in json.loads(out)["factors"]] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
 def test_stable_pair_finds_the_base_chart(capsys):
     code, out, _ = run(
         capsys,

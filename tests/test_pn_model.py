@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from stabctl import gl_action, pn_model, rep_lab, verify
-from stabctl.klattice import CentralCharge, PhaseToken, euler_pair, gauss
+from stabctl.klattice import CentralCharge, PhaseToken, euler_pair, gauss, kronecker_quiver
 
 
 def test_class_recursion_and_pairing():
@@ -68,6 +68,21 @@ def test_s_rep_reaches_the_dual_of_the_largest_kernel():
     assert (he.hom, he.ext) == (1, 0)
 
 
+def test_reflecting_the_source_simple_gives_unit_rows():
+    for n in (2, 3, 4):
+        q = kronecker_quiver(n)
+        units = [[[Fraction(int(j == a)) for j in range(n)]] for a in range(n)]
+        want = rep_lab.make_rep(q, (n, 1), units)
+        assert pn_model._reflect(rep_lab.vertex_simple(q, 0)) == want
+        assert pn_model.s_rep(n, -1) == want
+
+
+def test_reflecting_the_sink_simple_is_refused():
+    # the arrows of the sink simple are not jointly onto its sink
+    with pytest.raises(RuntimeError):
+        pn_model._reflect(rep_lab.vertex_simple(kronecker_quiver(3), 1))
+
+
 def test_hom_degree_prediction():
     assert pn_model.hom_degrees(3, 0, 1) == (0, 3)
     assert pn_model.hom_degrees(3, 1, 0) == (1, 0)
@@ -84,6 +99,21 @@ def test_hom_degree_prediction():
                     pn_model.helix_module(n, i)[0], pn_model.helix_module(n, j)[0]
                 )
                 assert (he.hom, he.ext) == ((dim, 0) if degree == 0 else (0, dim))
+
+
+def test_four_arrow_helix_law():
+    pairs = 0
+    for i in range(-3, 5):
+        for j in range(-3, 5):
+            if i == j:
+                continue
+            degree, dim = pn_model.module_hom_prediction(4, i, j)
+            he = rep_lab.hom_ext(
+                pn_model.helix_module(4, i)[0], pn_model.helix_module(4, j)[0]
+            )
+            assert (he.hom, he.ext) == ((dim, 0) if degree == 0 else (0, dim)), (i, j)
+            pairs += 1
+    assert pairs == 56
 
 
 def test_reference_point_serialization():

@@ -420,6 +420,52 @@ def test_hn_splits_a_direct_sum_of_simples():
         rep_lab.hn(rep_lab.zero_rep(q), charge)
 
 
+def test_hn_restarts_on_a_missed_steeper_piece(monkeypatch):
+    # the sink is steeper, so the filtration peels S1 + S1 first; hiding the
+    # sink pieces from the first scan makes hn peel all of M, find it
+    # unstable, and compose the inner witness back in
+    q = kronecker_quiver(2)
+    s0, s1 = rep_lab.vertex_simple(q, 0), rep_lab.vertex_simple(q, 1)
+    m = rep_lab.direct_sum(rep_lab.direct_sum(s0, s1), s1)
+    charge = CentralCharge((gauss(1, 1), gauss(-1, 1)))
+    assert [f.dims for f, _ in rep_lab.hn(m, charge)] == [(0, 2), (1, 0)]
+    scan, compose = rep_lab.subrep_dimvecs, rep_lab._compose_witness
+    hidden = [(0, 1), (0, 2)]
+    composed = []
+
+    def first_scan_misses(rep, bound=None):
+        out = scan(rep, bound)
+        if rep != m or not hidden:
+            return out
+        keep = tuple(v for v in out.vectors if v not in hidden)
+        hidden.clear()
+        return rep_lab.SubrepScan(keep, {v: out.witnesses[v] for v in keep}, out.uncertified)
+
+    def counted(inner, outer):
+        composed.append(inner)
+        return compose(inner, outer)
+
+    monkeypatch.setattr(rep_lab, "subrep_dimvecs", first_scan_misses)
+    monkeypatch.setattr(rep_lab, "_compose_witness", counted)
+    assert [f.dims for f, _ in rep_lab.hn(m, charge)] == [(0, 2), (1, 0)]
+    assert not hidden and len(composed) == 1
+
+
+def test_general_scan_with_an_empty_arrow_target():
+    # the path 0 -> 1 -> 2: an arrow into a zero vertex keeps its shape
+    q = Quiver("q", 3, ((0, 1), (1, 2)))
+    one = [[Fraction(1)]]
+    thin = rep_lab.make_rep(q, (1, 1, 1), [one, one])
+    scan = rep_lab.subrep_dimvecs(thin)
+    assert scan.vectors == ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+    assert scan.uncertified == ()
+    charge = CentralCharge((gauss(1, 1), gauss(0, 1), gauss(-1)))
+    for v in range(3):
+        result = rep_lab.theta_test(rep_lab.vertex_simple(q, v), charge)
+        assert (result.verdict, result.uncertified) == ("stable", ())
+    assert [f.dims for f, _ in rep_lab.hn(thin, charge)] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
 def test_hn_extractors_agree_on_random_input():
     rng = random.Random(53)
     q = kronecker_quiver(3)
