@@ -4,6 +4,12 @@ Fraction-valued routines back every certified claim; mod-p routines (numpy,
 vectorized) provide fast rank computation and candidate enumeration whose
 results are either certified over QQ afterwards or discarded.
 
+There is one exact elimination kernel, _fraction_free: Gauss-Jordan on the
+rows scaled to integers, with Bareiss's exact divisions keeping every entry
+an integer minor (Bareiss 1968).  Every exact rank, reduced row echelon
+form, kernel, solve, inverse and basis extension goes through it, and its
+results are returned as Fractions.
+
 There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
 stack (B, rows, cols), one row of every matrix per step.  mod_p_rank ranks
 a whole stack with it, which is how subspace enumeration ranks a block of
@@ -19,6 +25,7 @@ a prime too large for the matrix is refused with ValueError.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,38 +54,64 @@ def frac_matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def frac_matvec(a: Matrix, v: Row) -> Row:
+    """A v, each entry one integer sum over a common denominator."""
     nonzero = [(k, x) for k, x in enumerate(v) if x]
-    return [sum((row[k] * x for k, x in nonzero), Fraction(0)) for row in a]
+    vden = math.lcm(*(x.denominator for _, x in nonzero))
+    vnum = [(k, x.numerator * (vden // x.denominator)) for k, x in nonzero]
+    out = []
+    for row in a:
+        den = math.lcm(*(row[k].denominator for k, _ in vnum))
+        total = sum(row[k].numerator * (den // row[k].denominator) * x for k, x in vnum)
+        out.append(Fraction(total, den * vden))
+    return out
+
+
+def _fraction_free(rows) -> tuple[list[list[int]], list[int], int]:
+    """Gauss-Jordan on integers, the one exact elimination kernel.
+
+    Each row is scaled by the lcm of its denominators.  At a pivot of value
+    pv every other row, its entry f in the pivot column, becomes
+    (pv row - f pivot_row) // prev with prev the pivot before, so every
+    entry stays an integer minor of the scaled rows and the division is
+    exact (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 1968).  A row whose entry f is zero
+    is scaled all the same; the next division relies on it.  Returns
+    (rows, pivot columns, den): the rows divided by den, the last pivot
+    value, are the reduced row echelon form.
+    """
+    m = []
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (lcm // x.denominator) for x in row])
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        pv = prow[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(c)
+        prev = pv
+    return m, pivots, prev
 
 
 def frac_rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    m, pivots, den = _fraction_free(rows)
+    return [[Fraction(x, den) for x in row] for row in m], pivots
 
 
 def frac_rank(rows: Matrix) -> int:
-    return len(frac_rref(rows)[1])
+    return len(_fraction_free(rows)[1])
 
 
 def frac_kernel(rows: Matrix, ncols: int) -> Matrix:
@@ -129,19 +162,18 @@ def frac_inverse(a: Matrix) -> Matrix | None:
 
 
 def extend_to_basis(vectors: Matrix, dim: int) -> Matrix:
-    """Complete independent row vectors to a full basis using unit vectors."""
-    basis = [list(v) for v in vectors]
-    rank = frac_rank(basis) if basis else 0
-    if rank != len(basis):
+    """Complete independent row vectors to a full basis using unit vectors.
+
+    The unit vectors are those a greedy pass in column order would add:
+    e_c joins exactly when c is the last nonzero position of no vector in
+    the span, that is when c is no pivot of the columns taken in reverse.
+    """
+    _, pivots, _ = _fraction_free([v[::-1] for v in vectors])
+    if len(pivots) != len(vectors):
         raise ValueError("input vectors are dependent")
-    for c in range(dim):
-        if rank == dim:
-            break
-        unit = [Fraction(1 if j == c else 0) for j in range(dim)]
-        if frac_rank(basis + [unit]) > rank:
-            basis.append(unit)
-            rank += 1
-    return basis
+    last = {dim - 1 - c for c in pivots}
+    units = [c for c in range(dim) if c not in last]
+    return [list(v) for v in vectors] + [[Fraction(int(j == c)) for j in range(dim)] for c in units]
 
 
 def row_space_basis(rows: Matrix) -> Matrix:
@@ -150,30 +182,12 @@ def row_space_basis(rows: Matrix) -> Matrix:
 
 
 def int_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [[int(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pval = m[r][c]
-        for i in range(r + 1, nrows):
-            ival = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for k in range(c, ncols):
-                row_i[k] = (row_i[k] * pval - row_r[k] * ival) // prev
-        prev = pval
-        r += 1
-    return r
+    """Rank of an integer or rational matrix by fraction-free elimination.
+
+    The same kernel as frac_rank, kept as its own function so that
+    per-function timings count its calls apart.
+    """
+    return len(_fraction_free(rows)[1])
 
 
 # -- modular kernels -------------------------------------------------------

@@ -155,9 +155,6 @@ def gauss(re, im=0) -> GaussianRational:
     return GaussianRational(_as_fraction(re), _as_fraction(im))
 
 
-ZERO = gauss(0)
-
-
 def in_half_plane(z: GaussianRational) -> bool:
     """Membership in H = upper half plane joined with the negative real ray.
 
@@ -248,10 +245,10 @@ class CentralCharge:
     def evaluate(self, klass: tuple[int, ...]) -> GaussianRational:
         if len(klass) != len(self.values):
             raise ValueError("class length does not match charge rank")
-        total = ZERO
-        for c, v in zip(klass, self.values):
-            total = total + v * c
-        return total
+        return GaussianRational(
+            sum((v.re * c for c, v in zip(klass, self.values)), Fraction(0)),
+            sum((v.im * c for c, v in zip(klass, self.values)), Fraction(0)),
+        )
 
 
 def charge_rank(charge: CentralCharge) -> int:

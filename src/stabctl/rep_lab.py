@@ -14,7 +14,6 @@ exactly over the rationals.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -232,15 +231,6 @@ def _matrix_mod_p(mat, p: int) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(len(mat), len(mat[0]) if mat else 0)
 
 
-def _rows_to_int(rows):
-    """Scale each row to integer entries; rank is unchanged."""
-    out = []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * lcm) for x in row])
-    return out
-
-
 def _source_vertex(q: Quiver) -> int | None:
     """For a two-vertex quiver with all arrows parallel, their source."""
     if q.vertex_count != 2 or not q.arrows:
@@ -328,7 +318,7 @@ def hom_ext(m: QuiverRep, n: QuiverRep, want_basis: bool = False) -> HomExt:
     if total > 400:
         raise OracleBoundError(f"hom system with {total} unknowns is uncertified and too large")
     rows, total, _ = _system_rows(m, n)
-    rank = _linalg.int_rank(_rows_to_int(rows)) if rows else 0
+    rank = _linalg.int_rank(rows) if rows else 0
     hom = total - rank
     return HomExt(hom, hom - chi, None, "exact-fallback")
 
@@ -425,19 +415,6 @@ def _enum_two_vertex(m: QuiverRep, p: int):
     return found
 
 
-def _pad_to_dim(rows: list, e: int, d: int):
-    out = [list(r) for r in rows]
-    for c in range(d):
-        if len(out) >= e:
-            break
-        unit = [Fraction(1 if j == c else 0) for j in range(d)]
-        if _linalg.frac_rank(out + [unit]) > len(out):
-            out.append(unit)
-    if len(out) < e:
-        raise RuntimeError("cannot pad witness")
-    return out
-
-
 def _certify_two_vertex(m: QuiverRep, vec, pool, rng) -> tuple | None:
     """Rational witness (source rows, sink rows) for a candidate vector."""
     src = _source_vertex(m.quiver)
@@ -463,7 +440,7 @@ def _certify_two_vertex(m: QuiverRep, vec, pool, rng) -> tuple | None:
         img = image_rows(urows) if u else []
         if len(img) > e:
             return None
-        wrows = _pad_to_dim(img, e, d_snk)
+        wrows = _linalg.extend_to_basis(img, d_snk)[:e]
         return (tuple(tuple(r) for r in urows), tuple(tuple(r) for r in wrows))
 
     if u == 0:

@@ -1,4 +1,4 @@
-"""One tiny pass of each benchmark workload, with its answer checks.
+"""One tiny pass of each benchmark workload, with its answer checks and digest.
 
 perfbench calls stabctl through signatures, exceptions and CLI flags that
 the package itself no longer needs: the ignored `bound` of `theta_member`
@@ -18,6 +18,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# answer digests of the seed-1 tiny passes; a declared answer change
+# updates its value and says so in CHANGES.md
+DIGESTS = {
+    "helix-table": "6c0244980fb4489e3e86cf3beb16c3ea2e9f7a64e467bc0628337d5ab811967f",
+    "oracle-stream": "1f585dce879f55895c455d85b01d72c4af828717e29277de63e32d273a50bef2",
+    "chart-queries": "adfb9580deec2d9db855a2cbe692b99b7cff6b1fb0c1f51205597ea12ba04750",
+}
 
 
 def _bench_runner():
@@ -39,3 +46,4 @@ def test_tiny_pass_answers_check(workload):
     assert result["problems"] == []
     assert result["failed"] == 0
     assert result["ops"] > 0
+    assert result["digest"] == DIGESTS[workload]

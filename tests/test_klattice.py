@@ -154,6 +154,22 @@ def test_central_charge():
         charge_rank(CentralCharge((gauss(0), gauss(0))))
 
 
+def test_central_charge_evaluate_matches_the_fold():
+    rng = random.Random(14)
+    for n in range(1, 6):
+        charge = CentralCharge(tuple(_random_gauss(rng, allow_zero=True) for _ in range(n)))
+        for _ in range(40):
+            klass = tuple(rng.randint(-7, 7) for _ in range(n))
+            total = gauss(0)
+            for c, v in zip(klass, charge.values):
+                total = total + v * c
+            got = charge.evaluate(klass)
+            assert got == total
+            assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
+    with pytest.raises(ValueError, match="class length"):
+        CentralCharge((gauss(1),)).evaluate((1, 2))
+
+
 def test_quiver_validation():
     q = kronecker_quiver(2)
     assert q.vertex_count == 2 and q.arrows == ((0, 1), (0, 1))

@@ -1,13 +1,16 @@
-"""Mod-p kernels against a pure-Python Gauss-Jordan reference.
+"""Exact and mod-p kernels against pure-Python Gauss-Jordan references.
 
 Row counts straddle the elimination chunk of 64 rows, so the blocked
 reductions and merges are compared with one pivot-at-a-time elimination
-that shares no code with the package.
+that shares no code with the package.  The fraction-free exact kernel is
+compared with a Gauss-Jordan in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
+import copy
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -170,3 +173,119 @@ def test_subspaces_keep_their_order_and_count():
                     assert c.shape == (len(w), d - e, d)
                     assert not (w @ c.transpose(0, 2, 1) % p).any()
                     assert (_linalg.mod_p_rank(c, p) == d - e).all()
+
+
+def _reference_frac_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(m[0])):
+        if r >= len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _rational(rng: random.Random):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _rational_cases():
+    """Random, rank-deficient and degenerate matrices, as int or Fraction rows."""
+    rng = random.Random(11)
+    yield []
+    yield [[]]
+    yield [[], [], []]
+    yield [[0, 0, 0]]
+    yield [[Fraction(3, 4), 0, Fraction(-1, 2)]]
+    for rows in range(1, 8):
+        for cols in range(1, 9):
+            yield [[_rational(rng) for _ in range(cols)] for _ in range(rows)]
+            yield [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            for rank in range(min(rows, cols)):
+                left = [[_rational(rng) for _ in range(rank)] for _ in range(rows)]
+                right = [[_rational(rng) for _ in range(cols)] for _ in range(rank)]
+                m = [
+                    [sum((x * b[j] for x, b in zip(a, right)), Fraction(0)) for j in range(cols)]
+                    for a in left
+                ]
+                for c in rng.sample(range(cols), cols // 3):
+                    for row in m:
+                        row[c] = Fraction(0)
+                if rows > 1:
+                    m[rng.randrange(rows)] = [Fraction(0)] * cols
+                yield m
+
+
+def test_exact_kernel_matches_the_fraction_reference():
+    for rows in _rational_cases():
+        before = copy.deepcopy(rows)
+        ref, ref_pivots = _reference_frac_rref(rows)
+        rref, pivots = _linalg.frac_rref(rows)
+        assert rows == before
+        assert pivots == ref_pivots, rows
+        assert rref == ref, rows
+        assert all(isinstance(x, Fraction) for row in rref for x in row)
+        assert _linalg.frac_rank(rows) == len(ref_pivots)
+        assert _linalg.int_rank(rows) == len(ref_pivots)
+        assert rows == before
+
+
+def test_frac_matvec_matches_the_naive_sum():
+    rng = random.Random(12)
+    for rows in _rational_cases():
+        cols = len(rows[0]) if rows else 0
+        for v in (
+            [_rational(rng) for _ in range(cols)],
+            [rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(cols)],
+            [Fraction(0)] * cols,
+        ):
+            got = _linalg.frac_matvec(rows, v)
+            assert got == [sum((row[k] * v[k] for k in range(cols)), Fraction(0)) for row in rows]
+            assert all(isinstance(x, Fraction) for x in got)
+
+
+def _greedy_extension(vectors, dim: int):
+    basis = [list(v) for v in vectors]
+    rank = len(_reference_frac_rref(basis)[1])
+    if rank != len(basis):
+        raise ValueError("input vectors are dependent")
+    for c in range(dim):
+        if rank == dim:
+            break
+        unit = [Fraction(1 if j == c else 0) for j in range(dim)]
+        if len(_reference_frac_rref(basis + [unit])[1]) > rank:
+            basis.append(unit)
+            rank += 1
+    return basis
+
+
+def test_extend_to_basis_matches_the_greedy_pass():
+    rng = random.Random(13)
+    dependent = 0
+    for m in _rational_cases():
+        dim = len(m[0]) if m else 0
+        for vectors in (m, m[: rng.randint(0, len(m))], _reference_frac_rref(m)[0][: len(m) // 2]):
+            try:
+                want = _greedy_extension(vectors, dim)
+            except ValueError:
+                dependent += 1
+                with pytest.raises(ValueError, match="dependent"):
+                    _linalg.extend_to_basis(vectors, dim)
+                continue
+            assert _linalg.extend_to_basis(vectors, dim) == want, vectors
+    assert dependent > 100
+    assert _linalg.extend_to_basis([], 3) == _linalg.frac_identity(3)
