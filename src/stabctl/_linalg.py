@@ -161,19 +161,29 @@ def frac_inverse(a: Matrix) -> Matrix | None:
     return frac_solve(a, frac_identity(n))
 
 
-def extend_to_basis(vectors: Matrix, dim: int) -> Matrix:
-    """Complete independent row vectors to a full basis using unit vectors.
+def span_and_complement(rows: Matrix, dim: int) -> tuple[Matrix, Matrix]:
+    """A basis of the span of rows, and the unit vectors completing it.
 
-    The unit vectors are those a greedy pass in column order would add:
-    e_c joins exactly when c is the last nonzero position of no vector in
-    the span, that is when c is no pivot of the columns taken in reverse.
+    One elimination with the columns reversed gives both.  Its pivot rows,
+    read back in column order and taken last pivot first, are the basis, so
+    a full span gets the identity.  The unit vectors are those a greedy pass
+    in column order would add: e_c joins exactly when c is the last nonzero
+    position of no vector in the span, that is when c is no pivot of the
+    columns taken in reverse.
     """
-    _, pivots, _ = _fraction_free([v[::-1] for v in vectors])
-    if len(pivots) != len(vectors):
-        raise ValueError("input vectors are dependent")
+    m, pivots, den = _fraction_free([r[::-1] for r in rows])
+    basis = [[Fraction(x, den) for x in reversed(row)] for row in reversed(m[: len(pivots)])]
     last = {dim - 1 - c for c in pivots}
-    units = [c for c in range(dim) if c not in last]
-    return [list(v) for v in vectors] + [[Fraction(int(j == c)) for j in range(dim)] for c in units]
+    units = [[Fraction(int(j == c)) for j in range(dim)] for c in range(dim) if c not in last]
+    return basis, units
+
+
+def extend_to_basis(vectors: Matrix, dim: int) -> Matrix:
+    """Complete independent row vectors to a full basis using unit vectors."""
+    basis, units = span_and_complement(vectors, dim)
+    if len(basis) != len(vectors):
+        raise ValueError("input vectors are dependent")
+    return [list(v) for v in vectors] + units
 
 
 def row_space_basis(rows: Matrix) -> Matrix:

@@ -10,11 +10,15 @@ Hom dimensions follow one ladder at every size: a rank modulo each large
 prime, accepted when it meets the Euler bound hom >= max(chi, 0), and exact
 elimination only when no prime certifies.  Hom bases are always solved
 exactly over the rationals.
+
+Stability and Harder-Narasimhan data read one subrepresentation scan per
+representation: theta_test compares each scanned charge with Z(M), and hn
+walks the vertices of the convex polygon the scanned charges lie under,
+reading each factor between the witnesses of two consecutive vertices.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,13 +46,7 @@ LARGE_PRIMES = (10007, 10009, 10037, 10039)
 ENUM_PRIMES = (2, 3, 5)
 PRIME_ENUM_BUDGET = 60_000
 HARD_ENUM_BUDGET = 400_000
-
-
-def default_bound() -> int:
-    try:
-        return int(os.environ.get("STABCTL_ORACLE_BOUND", "8"))
-    except ValueError:
-        return 8
+DEFAULT_BOUND = 8  # largest total dimension the oracle scans unless told otherwise
 
 
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -416,20 +414,12 @@ def _enum_two_vertex(m: QuiverRep, p: int):
 
 
 def _certify_two_vertex(m: QuiverRep, vec, pool, rng) -> tuple | None:
-    """Rational witness (source rows, sink rows) for a candidate vector."""
+    """Rational witness for a candidate vector, one row basis per vertex."""
     src = _source_vertex(m.quiver)
     snk = 1 - src
     d_src, d_snk = m.dims[src], m.dims[snk]
     u, e = vec[src], vec[snk]
-    amats = [[list(row) for row in mat] for mat in m.matrices]
-
-    def image_rows(urows):
-        img = []
-        for r in urows:
-            for mat in amats:
-                img.append(_linalg.frac_matvec(mat, list(r)) if mat else [])
-        img = [row for row in img if row]
-        return _linalg.row_space_basis(img) if img else []
+    amats = [mat for mat in m.matrices if mat]
 
     def attempt(urows):
         urows = [[Fraction(x) for x in row] for row in urows]
@@ -437,11 +427,14 @@ def _certify_two_vertex(m: QuiverRep, vec, pool, rng) -> tuple | None:
             return None
         if u and _linalg.frac_rank(urows) != u:
             return None
-        img = image_rows(urows) if u else []
-        if len(img) > e:
+        # W is the span of the images, completed by unit vectors to dimension e
+        img = [_linalg.frac_matvec(mat, r) for r in urows for mat in amats]
+        span, units = _linalg.span_and_complement(img, d_snk)
+        if len(span) > e:
             return None
-        wrows = _linalg.extend_to_basis(img, d_snk)[:e]
-        return (tuple(tuple(r) for r in urows), tuple(tuple(r) for r in wrows))
+        ubasis = tuple(tuple(r) for r in urows)
+        wbasis = tuple(tuple(r) for r in (span + units)[:e])
+        return (ubasis, wbasis) if src == 0 else (wbasis, ubasis)
 
     if u == 0:
         return attempt([])
@@ -464,7 +457,7 @@ def subrep_dimvecs(m: QuiverRep, bound: int | None = None) -> SubrepScan:
     (intersected across fields); each candidate is kept only with an exact
     witness.  Uncertified leftovers are reported, never silently used.
     """
-    return _subrep_cached(m, bound if bound is not None else default_bound())
+    return _subrep_cached(m, bound if bound is not None else DEFAULT_BOUND)
 
 
 @lru_cache(maxsize=2048)
@@ -768,64 +761,39 @@ def theta_test(m: QuiverRep, charge: CentralCharge, bound: int | None = None) ->
     return ThetaResult("stable", None, scan.uncertified)
 
 
-def _sub_from_witness(m: QuiverRep, bases) -> QuiverRep:
-    dims = tuple(len(b) for b in bases)
+def _subquotient(m: QuiverRep, lower, upper) -> QuiverRep:
+    """The subquotient upper / lower of m, for witnesses lower inside upper.
+
+    Both are one row basis per vertex.  At each vertex the rows of upper
+    that a greedy pass adds to lower complete it to a basis of upper, and
+    each arrow maps those rows into that basis of the target vertex; their
+    coordinates past lower are the subquotient's matrix.  With lower empty
+    this is the subrepresentation upper, and with upper all of m it is the
+    quotient m / lower.
+    """
+    bases = []
+    for low, up in zip(lower, upper):
+        rows = [*low, *up]
+        # the greedy pass keeps the pivot columns of the rows taken as columns
+        pivots = _linalg.frac_rref([list(c) for c in zip(*rows)])[1] if rows else []
+        if pivots[: len(low)] != list(range(len(low))) or len(pivots) != len(up):
+            raise RuntimeError("the witnesses of two HN vertices are not nested")
+        bases.append([rows[i] for i in pivots])
+    dims = tuple(len(b) - len(low) for b, low in zip(bases, lower))
     mats = []
-    for idx, (s, t) in enumerate(m.quiver.arrows):
-        amat = [list(r) for r in m.matrices[idx]]
-        imgs = [
-            _linalg.frac_matvec(amat, list(r)) if amat else []
-            for r in bases[s]
-        ]
-        if dims[t] == 0 or m.dims[t] == 0:
-            if any(any(x for x in img) for img in imgs):
+    for amat, (s, t) in zip(m.matrices, m.quiver.arrows):
+        imgs = [_linalg.frac_matvec(amat, r) for r in bases[s][len(lower[s]) :]]
+        if not bases[t]:
+            if any(any(img) for img in imgs):
                 raise ValueError("witness is not a subrepresentation")
-            mats.append([[Fraction(0)] * dims[s] for _ in range(dims[t])])
+            mats.append([])
             continue
-        bt_cols = [list(c) for c in zip(*[list(r) for r in bases[t]])]
         img_cols = [list(c) for c in zip(*imgs)] if imgs else [[] for _ in range(m.dims[t])]
-        sol = _linalg.frac_solve(bt_cols, img_cols)
+        sol = _linalg.frac_solve([list(c) for c in zip(*bases[t])], img_cols)
         if sol is None:
             raise ValueError("witness is not a subrepresentation")
-        mats.append(sol)
+        mats.append(sol[len(lower[t]) :])
     return make_rep(m.quiver, dims, mats)
-
-
-def _quotient_from_witness(m: QuiverRep, bases) -> QuiverRep:
-    """Quotient of m by the subrepresentation the witness rows span."""
-    comps = []
-    fulls = []
-    for v in range(m.quiver.vertex_count):
-        rows = [list(r) for r in bases[v]]
-        full = _linalg.extend_to_basis(rows, m.dims[v]) if m.dims[v] else []
-        comps.append(full[len(rows) :])
-        fulls.append(full)
-    dims = tuple(m.dims[v] - len(bases[v]) for v in range(m.quiver.vertex_count))
-    mats = []
-    for idx, (s, t) in enumerate(m.quiver.arrows):
-        amat = [list(r) for r in m.matrices[idx]]
-        imgs = [
-            _linalg.frac_matvec(amat, list(r)) if amat else []
-            for r in comps[s]
-        ]
-        if m.dims[t] == 0 or dims[t] == 0:
-            mats.append([[Fraction(0)] * dims[s] for _ in range(dims[t])])
-            continue
-        full_cols = [list(c) for c in zip(*fulls[t])]
-        img_cols = [list(c) for c in zip(*imgs)] if imgs else [[] for _ in range(m.dims[t])]
-        sol = _linalg.frac_solve(full_cols, img_cols)
-        mats.append([row for row in sol[len(bases[t]) :]])
-    return make_rep(m.quiver, dims, mats)
-
-
-def _witness_bases(m: QuiverRep, vec, scan) -> tuple:
-    """Witness as one row-basis tuple per vertex, in vertex order."""
-    wit = scan.witnesses[vec]
-    src = _source_vertex(m.quiver)
-    if src is None:
-        return wit
-    urows, wrows = wit
-    return (urows, wrows) if src == 0 else (wrows, urows)
 
 
 def hn(
@@ -834,66 +802,57 @@ def hn(
     bound: int | None = None,
     extractor: str = "phase",
 ) -> list[tuple[QuiverRep, PhaseToken]]:
-    """Harder-Narasimhan factors, top phase first.
+    """Harder-Narasimhan factors, top phase first, from one scan of m.
 
-    Factors are peeled as maximal destabilizers; each peeled piece is
-    re-checked for semistability and, when the check fails because of a
-    missed candidate, the inner witness is composed into the ambient
-    representation and the extraction restarts.
+    The charges of the subrepresentations of m lie under a convex polygon
+    from 0 to Z(m) whose vertices are the charges of the HN filtration
+    (Shatz, Compositio Math. 1977; for quiver representations Reineke,
+    Invent. Math. 2003).  A vertex is an extreme point of the region of
+    subrep charges, so one subrep alone has its dimension vector: were N
+    and N' two, the charges of their intersection and their sum would
+    average to the vertex, so both would equal it, and N = N' since a
+    nonzero representation has a nonzero charge.  The same averaging puts
+    every subrep whose charge lies on an edge between the subreps of the
+    edge's two vertices.
+
+    The walk starts at the zero vertex.  From the last vertex, the scanned
+    vectors that contain its dimension vector, less that vector, have
+    charges in the half plane, and those of maximal phase lie on the next
+    edge.  The phase extractor takes the largest of them, the next vertex;
+    the slope extractor joins all their witnesses, which gives the same
+    subrep.  So the witnesses are nested, and each factor is the
+    subquotient of two consecutive ones.
     """
     _check_stability_function(charge, m.quiver)
     if m.is_zero():
         raise ValueError("the zero representation has no filtration")
+    scan = subrep_dimvecs(m, bound)
     factors: list[tuple[QuiverRep, PhaseToken]] = []
-    current = m
-    guard = 0
-    extra: list[tuple] = []
-    while not current.is_zero():
-        guard += 1
-        if guard > 200:
-            raise RuntimeError("filtration did not terminate")
-        scan = subrep_dimvecs(current, bound)
-        cands = []
-        for vec in scan.vectors:
-            if all(x == 0 for x in vec):
-                continue
-            cands.append((vec, _witness_bases(current, vec, scan)))
-        cands.extend(extra)
-        winner = _select_destabilizer(current, charge, cands, extractor)
-        vec, bases = winner
-        sub = _sub_from_witness(current, bases)
-        inner = theta_test(sub, charge, bound) if not sub.is_zero() else None
-        if inner is not None and inner.verdict == "unstable":
-            # a steeper piece inside the peel was missed: compose it into
-            # the ambient coordinates and redo the selection with it
-            inner_scan = subrep_dimvecs(sub, bound)
-            ibases = _witness_bases(sub, inner.witness, inner_scan)
-            extra.append((sub_dims(ibases), _compose_witness(ibases, bases)))
-            continue
-        token = PhaseToken(_charge_of(charge, sub.dims), 0)
-        factors.append((sub, token))
-        extra = []
-        if vec == current.dims:
-            break
-        current = _quotient_from_witness(current, bases)
+    lower = tuple(() for _ in m.dims)
+    while (low := sub_dims(lower)) != m.dims:
+        ahead = [
+            (tuple(a - b for a, b in zip(vec, low)), scan.witnesses[vec])
+            for vec in scan.vectors
+            if vec != low and all(a >= b for a, b in zip(vec, low))
+        ]
+        if not ahead:
+            raise RuntimeError(f"no scanned subrepresentation lies ahead of {low}")
+        upper = _select_destabilizer(charge, ahead, extractor)
+        factor = _subquotient(m, lower, upper)
+        factors.append((factor, PhaseToken(_charge_of(charge, factor.dims), 0)))
+        lower = upper
     for a, b in zip(factors, factors[1:]):
         if phase_compare(a[1], b[1]) <= 0:
             raise RuntimeError("factor phases are not strictly decreasing")
     return factors
 
 
-def _compose_witness(inner, outer):
-    return tuple(
-        tuple(tuple(r) for r in _linalg.frac_matmul(inner[v], outer[v]))
-        for v in range(len(outer))
-    )
-
-
 def sub_dims(bases) -> tuple[int, ...]:
     return tuple(len(b) for b in bases)
 
 
-def _select_destabilizer(current, charge, cands, extractor):
+def _select_destabilizer(charge, cands, extractor):
+    """The witness of the next vertex among (charge vector, witness) pairs."""
     zs = _charges(charge, [vec for vec, _ in cands])
     if extractor == "phase":
         tokens = {vec: PhaseToken(z, 0) for vec, z in zs.items()}
@@ -911,7 +870,7 @@ def _select_destabilizer(current, charge, cands, extractor):
                 )
             ):
                 best = (vec, bases)
-        return best
+        return best[1]
     if extractor == "slope":
         # maximal slope by exact cross products, then join every maximal witness
         def slope_greater(a, b):
@@ -925,8 +884,7 @@ def _select_destabilizer(current, charge, cands, extractor):
                 top = [(vec, bases)]
             elif not slope_greater(top[0][0], vec):
                 top.append((vec, bases))
-        joined = _join_witnesses_from(top)
-        return (sub_dims(joined), joined)
+        return _join_witnesses_from(top)
     raise ValueError(f"unknown extractor {extractor!r}")
 
 

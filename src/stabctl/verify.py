@@ -456,6 +456,9 @@ def suite_hn() -> SuiteResult:
         tag = f"trial={trial} n={n} dims={dims}"
         cases += 1
         factors = rep_lab.hn(m, charge, 12)
+        verdict = rep_lab.theta_test(m, charge, 12).verdict
+        if (len(factors) == 1) != (verdict != "unstable"):
+            failures.append(f"{tag}: {len(factors)} factors but theta verdict {verdict}")
         for (fa, ta), (fb, tb) in zip(factors, factors[1:]):
             if phase_compare(ta, tb) <= 0:
                 failures.append(f"{tag}: factor phases fail to decrease")

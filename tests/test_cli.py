@@ -11,7 +11,9 @@ import os
 import subprocess
 import sys
 
-from stabctl import cli
+import pytest
+
+from stabctl import cli, rep_lab
 
 SIGMA = '{"n":2,"base":0,"tokens":[{"z":"-1","w":-1},{"z":"1+1i","w":0}]}'
 INTERIOR = '{"n":2,"base":2,"tokens":[{"z":"1+1i","w":-1},{"z":"1i","w":0}]}'
@@ -183,6 +185,17 @@ def test_hn_on_a_path_quiver(capsys):
     )
     assert code == 0
     assert [f["dims"] for f in json.loads(out)["factors"]] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
+def test_an_hn_invariant_failure_is_no_input_error(monkeypatch):
+    # two HN witnesses that are not nested are a fault of the oracle, which
+    # must not read as bad input (exit 2)
+    def not_nested(m, lower, upper):
+        raise RuntimeError("the witnesses of two HN vertices are not nested")
+
+    monkeypatch.setattr(rep_lab, "_subquotient", not_nested)
+    with pytest.raises(RuntimeError, match="not nested"):
+        cli.main(["hn", "--rep", "rep p2 1 2\n0\n0\n0\n0\n", "--charge=-1,1+1i"])
 
 
 def test_stable_pair_finds_the_base_chart(capsys):

@@ -289,3 +289,16 @@ def test_extend_to_basis_matches_the_greedy_pass():
             assert _linalg.extend_to_basis(vectors, dim) == want, vectors
     assert dependent > 100
     assert _linalg.extend_to_basis([], 3) == _linalg.frac_identity(3)
+
+
+def test_span_and_complement_on_dependent_rows():
+    # a basis of the span, independent, and the units the greedy pass adds to it
+    for m in _rational_cases():
+        dim = len(m[0]) if m else 0
+        basis, units = _linalg.span_and_complement(m, dim)
+        rank = len(_reference_frac_rref(m)[1])
+        assert len(basis) == rank == len(_reference_frac_rref(basis)[1]), m
+        assert len(_reference_frac_rref(list(m) + basis)[1]) == rank, m
+        assert basis + units == _greedy_extension(basis, dim), m
+    # a full span gets the identity, its rows in column order
+    assert _linalg.span_and_complement([[2, 1], [1, 1]], 2) == (_linalg.frac_identity(2), [])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -261,9 +264,12 @@ def test_subrep_dimvecs_on_a_source_one_quiver():
                 ]
                 m = rep_lab.make_rep(flipped, (d0, d1), mats)
                 ref = rep_lab.make_rep(kronecker_quiver(2), (d1, d0), mats)
-                got = _candidates(rep_lab.subrep_dimvecs(m))
+                scan = rep_lab.subrep_dimvecs(m)
                 want = {(v1, v0) for v0, v1 in _candidates(rep_lab.subrep_dimvecs(ref))}
-                assert got == want, (d0, d1, mats)
+                assert _candidates(scan) == want, (d0, d1, mats)
+                # witnesses hold one row basis per vertex, in vertex order
+                for vec, wit in scan.witnesses.items():
+                    assert rep_lab._check_general_witness(m, vec, wit), (vec, mats)
                 cases += 1
     assert cases == 96
 
@@ -371,16 +377,13 @@ def test_subrep_dimvecs_sees_rational_eigenvectors():
     assert (1, 1) in rep_lab.subrep_dimvecs(swap).vectors
 
 
-def test_oracle_bound_enforcement(monkeypatch):
-    monkeypatch.delenv("STABCTL_ORACLE_BOUND", raising=False)
+def test_oracle_bound_enforcement():
     q = kronecker_quiver(2)
     big = rep_lab.generic_rep(q, (5, 4), seed=3)
+    assert rep_lab.DEFAULT_BOUND == 8
     with pytest.raises(OracleBoundError):
         rep_lab.subrep_dimvecs(big)
     assert rep_lab.subrep_dimvecs(big, 12).vectors
-    monkeypatch.setenv("STABCTL_ORACLE_BOUND", "20")
-    assert rep_lab.default_bound() == 20
-    assert rep_lab.subrep_dimvecs(big).vectors
 
 
 def test_theta_test_verdicts():
@@ -420,35 +423,156 @@ def test_hn_splits_a_direct_sum_of_simples():
         rep_lab.hn(rep_lab.zero_rep(q), charge)
 
 
-def test_hn_restarts_on_a_missed_steeper_piece(monkeypatch):
-    # the sink is steeper, so the filtration peels S1 + S1 first; hiding the
-    # sink pieces from the first scan makes hn peel all of M, find it
-    # unstable, and compose the inner witness back in
+def _counting_scans(monkeypatch) -> list:
+    scanned = []
+    scan = rep_lab.subrep_dimvecs
+
+    def counted(rep, bound=None):
+        scanned.append(rep)
+        return scan(rep, bound)
+
+    monkeypatch.setattr(rep_lab, "subrep_dimvecs", counted)
+    return scanned
+
+
+def test_hn_reads_one_scan_of_its_input(monkeypatch):
+    scanned = _counting_scans(monkeypatch)
     q = kronecker_quiver(2)
     s0, s1 = rep_lab.vertex_simple(q, 0), rep_lab.vertex_simple(q, 1)
+    # the sink is steeper, so S1 + S1 is the first factor
     m = rep_lab.direct_sum(rep_lab.direct_sum(s0, s1), s1)
     charge = CentralCharge((gauss(1, 1), gauss(-1, 1)))
     assert [f.dims for f, _ in rep_lab.hn(m, charge)] == [(0, 2), (1, 0)]
-    scan, compose = rep_lab.subrep_dimvecs, rep_lab._compose_witness
-    hidden = [(0, 1), (0, 2)]
-    composed = []
+    assert scanned == [m]
+    # three factors of phases 1, 3/4 and 1/4, still from the one scan
+    scanned.clear()
+    m = rep_lab.direct_sum(rep_lab.direct_sum(pn_model.s_rep(2, 1), pn_model.s_rep(2, -1)), s0)
+    charge = CentralCharge((gauss(-1), gauss(1, 1)))
+    for extractor in ("phase", "slope"):
+        factors = rep_lab.hn(m, charge, extractor=extractor)
+        assert [f.dims for f, _ in factors] == [(1, 0), (2, 1), (0, 1)]
+    assert scanned == [m, m]
 
-    def first_scan_misses(rep, bound=None):
-        out = scan(rep, bound)
-        if rep != m or not hidden:
-            return out
-        keep = tuple(v for v in out.vectors if v not in hidden)
-        hidden.clear()
-        return rep_lab.SubrepScan(keep, {v: out.witnesses[v] for v in keep}, out.uncertified)
 
-    def counted(inner, outer):
-        composed.append(inner)
-        return compose(inner, outer)
+def _angle(dims) -> float:
+    # the phase of Z = -d0 + d1 (1 + i) in floating point, apart from klattice
+    return math.atan2(dims[1], dims[1] - dims[0])
 
-    monkeypatch.setattr(rep_lab, "subrep_dimvecs", first_scan_misses)
-    monkeypatch.setattr(rep_lab, "_compose_witness", counted)
-    assert [f.dims for f, _ in rep_lab.hn(m, charge)] == [(0, 2), (1, 0)]
-    assert not hidden and len(composed) == 1
+
+def test_hn_of_helix_sums_groups_the_summands_by_phase():
+    # each s_rep(2, k) is stable at (-1, 1+i) (criterion 04), so the HN
+    # factors of a direct sum are its summands of one phase, phases decreasing
+    charge = CentralCharge((gauss(-1), gauss(1, 1)))
+    helix = {k: pn_model.s_rep(2, k) for k in range(-3, 4)}
+    sums = [
+        ks
+        for size in (1, 2, 3)
+        for ks in combinations_with_replacement(sorted(helix), size)
+        if sum(sum(helix[k].dims) for k in ks) <= 12
+        and min(sum(helix[k].dims[v] for k in ks) for v in (0, 1)) <= 4
+    ]
+    assert len(sums) > 40 and any(len(set(ks)) < len(ks) for ks in sums)
+    for ks in sums:
+        m = helix[ks[0]]
+        for k in ks[1:]:
+            m = rep_lab.direct_sum(m, helix[k])
+        groups = sorted(Counter(ks).items(), key=lambda kc: -_angle(helix[kc[0]].dims))
+        want = [tuple(r * d for d in helix[k].dims) for k, r in groups]
+        for extractor in ("phase", "slope"):
+            factors = rep_lab.hn(m, charge, 12, extractor)
+            assert [f.dims for f, _ in factors] == want, (ks, extractor)
+            for (f, _), (k, r) in zip(factors, groups):
+                he = rep_lab.hom_ext(f, helix[k])
+                assert (he.hom, he.ext) == (r, 0), (ks, k)
+
+
+def _sub_reference(m, bases):
+    """The subrepresentation a witness spans, solved arrow by arrow in its rows."""
+    dims = tuple(len(b) for b in bases)
+    mats = []
+    for idx, (s, t) in enumerate(m.quiver.arrows):
+        amat = [list(r) for r in m.matrices[idx]]
+        imgs = [_linalg.frac_matvec(amat, list(r)) if amat else [] for r in bases[s]]
+        if dims[t] == 0 or m.dims[t] == 0:
+            if any(any(x for x in img) for img in imgs):
+                raise ValueError("witness is not a subrepresentation")
+            mats.append([[Fraction(0)] * dims[s] for _ in range(dims[t])])
+            continue
+        bt_cols = [list(c) for c in zip(*[list(r) for r in bases[t]])]
+        img_cols = [list(c) for c in zip(*imgs)] if imgs else [[] for _ in range(m.dims[t])]
+        sol = _linalg.frac_solve(bt_cols, img_cols)
+        if sol is None:
+            raise ValueError("witness is not a subrepresentation")
+        mats.append(sol)
+    return rep_lab.make_rep(m.quiver, dims, mats)
+
+
+def _quotient_reference(m, bases):
+    """The quotient by a witness, on the unit vectors extend_to_basis adds to it."""
+    comps = []
+    fulls = []
+    for v in range(m.quiver.vertex_count):
+        rows = [list(r) for r in bases[v]]
+        full = _linalg.extend_to_basis(rows, m.dims[v]) if m.dims[v] else []
+        comps.append(full[len(rows) :])
+        fulls.append(full)
+    dims = tuple(m.dims[v] - len(bases[v]) for v in range(m.quiver.vertex_count))
+    mats = []
+    for idx, (s, t) in enumerate(m.quiver.arrows):
+        amat = [list(r) for r in m.matrices[idx]]
+        imgs = [_linalg.frac_matvec(amat, list(r)) if amat else [] for r in comps[s]]
+        if m.dims[t] == 0 or dims[t] == 0:
+            mats.append([[Fraction(0)] * dims[s] for _ in range(dims[t])])
+            continue
+        full_cols = [list(c) for c in zip(*fulls[t])]
+        img_cols = [list(c) for c in zip(*imgs)] if imgs else [[] for _ in range(m.dims[t])]
+        sol = _linalg.frac_solve(full_cols, img_cols)
+        mats.append([row for row in sol[len(bases[t]) :]])
+    return rep_lab.make_rep(m.quiver, dims, mats)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_subquotient_against_the_sub_and_quotient_constructions():
+    rng = random.Random(59)
+    quivers = [
+        kronecker_quiver(2),
+        kronecker_quiver(3),
+        Quiver("q", 2, ((1, 0), (1, 0))),
+        Quiver("a3", 3, ((0, 1), (1, 2))),
+        Quiver("fork", 3, ((0, 2), (1, 2), (0, 2))),
+    ]
+    witnesses = refused = 0
+    for quiver in quivers:
+        for _ in range(16):
+            # the three-vertex scan enumerates every vertex, so keep those small
+            m = _random_rep(quiver, rng, top=5 - quiver.vertex_count)
+            none = tuple(() for _ in m.dims)
+            whole = tuple(_linalg.frac_identity(d) for d in m.dims)
+            for bases in rep_lab.subrep_dimvecs(m, 12).witnesses.values():
+                assert rep_lab._subquotient(m, none, bases) == _sub_reference(m, bases)
+                assert rep_lab._subquotient(m, bases, whole) == _quotient_reference(m, bases)
+                witnesses += 1
+            # random independent rows, mostly no subrepresentation
+            bases = []
+            for d in m.dims:
+                rows = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(rng.randint(0, d))]
+                bases.append(_linalg.row_space_basis(rows) if rows else [])
+            got = _outcome(rep_lab._subquotient, m, none, bases)
+            assert got == _outcome(_sub_reference, m, bases)
+            refused += isinstance(got, str)
+    assert witnesses > 300 and refused > 10
+    # witnesses that are not nested are no input error
+    q = kronecker_quiver(2)
+    split = rep_lab.direct_sum(rep_lab.vertex_simple(q, 0), rep_lab.vertex_simple(q, 1))
+    wit = rep_lab.subrep_dimvecs(split).witnesses
+    with pytest.raises(RuntimeError, match="not nested"):
+        rep_lab._subquotient(split, wit[(1, 0)], wit[(0, 1)])
 
 
 def test_general_scan_with_an_empty_arrow_target():
@@ -463,7 +587,9 @@ def test_general_scan_with_an_empty_arrow_target():
     for v in range(3):
         result = rep_lab.theta_test(rep_lab.vertex_simple(q, v), charge)
         assert (result.verdict, result.uncertified) == ("stable", ())
-    assert [f.dims for f, _ in rep_lab.hn(thin, charge)] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    for extractor in ("phase", "slope"):
+        factors = rep_lab.hn(thin, charge, extractor=extractor)
+        assert [f.dims for f, _ in factors] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_hn_extractors_agree_on_random_input():
