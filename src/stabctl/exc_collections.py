@@ -54,7 +54,21 @@ class ExcObject:
 
 
 def chi_of_entry(entry: dict[int, int]) -> int:
-    return sum((-1) ** k * d for k, d in entry.items())
+    # the parity test keeps the sum an int for negative degrees too
+    return sum(-d if k % 2 else d for k, d in entry.items())
+
+
+def _store(entries: dict, i: int, j: int, e: dict[int, int] | None) -> None:
+    """Put the cleaned entry e at (i, j): zero dimensions dropped, an empty
+    entry left out, a negative dimension refused."""
+    if e is None:
+        entries[(i, j)] = None
+        return
+    clean = {int(k): int(d) for k, d in e.items() if d != 0}
+    if any(d < 0 for d in clean.values()):
+        raise ValueError(f"negative dimension in entry ({i},{j})")
+    if clean:
+        entries[(i, j)] = clean
 
 
 class HomTable:
@@ -72,14 +86,17 @@ class HomTable:
         for (i, j), e in (entries or {}).items():
             if not (0 <= i < j < size):
                 raise ValueError(f"bad table key ({i},{j})")
-            if e is None:
-                self._entries[(i, j)] = None
-                continue
-            clean = {int(k): int(d) for k, d in e.items() if d != 0}
-            if any(d < 0 for d in clean.values()):
-                raise ValueError(f"negative dimension in entry ({i},{j})")
-            if clean:
-                self._entries[(i, j)] = clean
+            _store(self._entries, i, j, e)
+
+    @classmethod
+    def _of_clean(cls, size: int, entries: dict[tuple[int, int], dict[int, int] | None]) -> HomTable:
+        """A table over entries that are already clean: valid keys, each value
+        None or a nonempty dict of positive dimensions.  The dicts are stored,
+        not copied; no table ever changes a stored dict, so tables share them."""
+        table = cls.__new__(cls)
+        table.size = size
+        table._entries = entries
+        return table
 
     def _check(self, i: int, j: int) -> None:
         if not (0 <= i < j < self.size):
@@ -111,12 +128,10 @@ class HomTable:
 
     def with_entry(self, i: int, j: int, e: dict[int, int] | None) -> HomTable:
         self._check(i, j)
-        new = {k: (dict(v) if v is not None else None) for k, v in self._entries.items()}
-        if e is None:
-            new[(i, j)] = None
-        else:
-            new[(i, j)] = dict(e)
-        return HomTable(self.size, new)
+        new = dict(self._entries)
+        new.pop((i, j), None)
+        _store(new, i, j, e)
+        return HomTable._of_clean(self.size, new)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomTable):
@@ -132,6 +147,17 @@ class HomTable:
 
 @dataclass(frozen=True)
 class ExcCollection:
+    """A valid exceptional collection with its Hom table.
+
+    Invariants: labels are distinct; every class has length euler.rank and
+    chi(E_i, E_i) = 1; every backward pairing chi(E_j, E_i), j > i, is 0;
+    every exact entry (i, j) sums to chi(E_i, E_j).  `make_collection`
+    checks them on outside input.  `mutate`, `shift_objects` and
+    `resolve_entry` build their results directly, since each keeps them by
+    theory (see `mutate` for the three-line proof; Gorodentsev and Rudakov
+    1987; Bondal 1990).
+    """
+
     objects: tuple[ExcObject, ...]
     table: HomTable
     euler: EulerMatrix
@@ -177,33 +203,19 @@ def make_collection(objects, table: HomTable, euler: EulerMatrix) -> ExcCollecti
     return ExcCollection(objects, table, euler)
 
 
-def _shift_set(s: frozenset[int] | None, k: int) -> frozenset[int] | None:
-    return None if s is None else frozenset(x + k for x in s)
+def _entry_from_bound(dset: set[int], chi: int, where: str) -> dict[int, int] | None:
+    """Resolve an entry from its possible-degree set and its Euler number.
 
-
-def _sum_sets(a: frozenset[int] | None, b: frozenset[int] | None) -> frozenset[int] | None:
-    if a is None or b is None:
-        return None
-    return frozenset(x + y for x in a for y in b)
-
-
-def _union(a: frozenset[int] | None, b: frozenset[int] | None) -> frozenset[int] | None:
-    if a is None or b is None:
-        return None
-    return a | b
-
-
-def _entry_from_bound(dset: frozenset[int] | None, chi: int, where: str) -> dict[int, int] | None:
-    """Resolve an entry from its possible-degree set and its Euler number."""
-    if dset is None:
-        return None
+    With the Euler number read off the entries the set is built from, as
+    `mutate` does, neither check below can fail; they guard that argument.
+    """
     if not dset:
         if chi != 0:
             raise ValueError(f"entry {where}: no degrees allowed but pairing is {chi}")
         return {}
     if len(dset) == 1:
         (k0,) = dset
-        d = (-1) ** k0 * chi
+        d = -chi if k0 % 2 else chi
         if d < 0:
             raise ValueError(f"entry {where}: forced dimension {d} is negative")
         return {k0: d} if d else {}
@@ -220,6 +232,21 @@ def mutate(c: ExcCollection, i: int, direction: str) -> ExcCollection:
     relating K, M and N bounds the degrees of N against every other object:
     Hom(X, N) lies in (Hom(X, K) + sS) | (Hom(X, M) + s) and Hom(N, Y) in
     (Hom(K, Y) - sS) | (Hom(M, Y) - s).
+
+    The result is built directly, without a `make_collection` pass: a
+    mutation keeps every invariant that pass checks (Gorodentsev and
+    Rudakov, Duke Math. J. 1987; Bondal, Math. USSR Izv. 1990).  With
+    chi = chi(E, F), so chi(K, M) + chi(M, K) = chi:
+      chi(N, N) = chi^2 - chi*chi + 1 = 1;
+      N's backward pairings are chi*0 - 0 = 0, and K's against N is
+      chi - chi = 0;
+      every copied entry keeps its Euler sum, the negated pair entry sums
+      to chi, the pairing of the new pair, and each entry of N is forced
+      by its own pairing.
+    Only the new label can break the collection, so it alone is checked.
+    Entries away from positions i and i + 1 are shared with c's table, and
+    each pairing of N is read off two exact entries, chi(X, N) =
+    chi * chi(X, K) - chi(X, M), so no Euler form is evaluated.
     """
     n = c.size
     if not (0 <= i < n - 1):
@@ -230,46 +257,59 @@ def mutate(c: ExcCollection, i: int, direction: str) -> ExcCollection:
         kp, mp, s, letter = i + 1, i, -1, "R"
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    pair = c.table.entry(i, i + 1)
+    src = c.table._entries
+    pair = src.get((i, i + 1), {})
     if pair is None:
         raise ValueError(f"cannot mutate: entry ({i},{i + 1}) is unknown")
 
     k_obj, m_obj = c.objects[kp], c.objects[mp]
-    chi = c.chi(i, i + 1)
+    chi = chi_of_entry(pair)
     new_class = tuple(chi * a - b for a, b in zip(k_obj.kclass, m_obj.kclass))
+    label = f"{letter}[{k_obj.label}]({m_obj.label})"
     objects = list(c.objects)
     # K takes M's position and N takes K's
     objects[mp] = k_obj
-    objects[kp] = ExcObject(f"{letter}[{k_obj.label}]({m_obj.label})", new_class)
-
-    supp = c.table.support
-    entries: dict[tuple[int, int], dict[int, int] | None] = {
-        (a, b): e for (a, b), e in c.table.items() if a not in (i, i + 1) and b not in (i, i + 1)
-    }
-    entries[(i, i + 1)] = {-k: d for k, d in pair.items()}
+    objects[kp] = ExcObject(label, new_class)
+    entries = {(a, b): e for (a, b), e in src.items() if a not in (i, i + 1) and b not in (i, i + 1)}
+    if pair:
+        entries[(i, i + 1)] = {-k: d for k, d in pair.items()}
     for j in range(n):
         if j in (i, i + 1):
             continue
         # jk keys X_j against position kp (K before, N after), jm against
         # mp (M before, K after); t is s for Hom(X_j, N), -s for Hom(N, X_j)
         jk, jm, t = ((j, kp), (j, mp), s) if j < i else ((kp, j), (mp, j), -s)
-        entries[jm] = c.table.entry(*jk)
-        k_branch = _sum_sets(supp(*jk), frozenset(t * k for k in pair))
-        dset = _union(k_branch, _shift_set(supp(*jm), t))
-        pairing = euler_pair(c.euler, objects[jk[0]].kclass, objects[jk[1]].kclass)
-        entries[jk] = _entry_from_bound(dset, pairing, f"({jk[0]},{jk[1]})")
+        k_entry, m_entry = src.get(jk, {}), src.get(jm, {})
+        if jk in src:
+            entries[jm] = k_entry
+        if k_entry is None or m_entry is None:
+            entries[jk] = None
+            continue
+        dset = {a + t * k for a in k_entry for k in pair} | {b + t for b in m_entry}
+        # the pairing of X_j with N is chi times its pairing with K less its
+        # pairing with M, and exact entries sum to their pairings
+        pairing = chi * chi_of_entry(k_entry) - chi_of_entry(m_entry)
+        e = _entry_from_bound(dset, pairing, f"({jk[0]},{jk[1]})")
+        if e != {}:
+            entries[jk] = e
 
-    return make_collection(objects, HomTable(n, entries), c.euler)
+    # M's label is part of the new one, so only the others can clash
+    if any(o.label == label for o in c.objects):
+        raise ValueError("duplicate labels")
+    return ExcCollection(tuple(objects), HomTable._of_clean(n, entries), c.euler)
 
 
 def resolve_entry(c: ExcCollection, i: int, j: int, dims: dict[int, int]) -> ExcCollection:
-    """Replace an unknown entry with externally supplied graded dimensions."""
+    """Replace an unknown entry with externally supplied graded dimensions.
+
+    Only the resolved entry changes, and its Euler sum is checked here, so
+    the result is a valid collection without a `make_collection` pass."""
     if c.table.entry(i, j) is not None:
         raise ValueError(f"entry ({i},{j}) is already exact")
     chi = c.chi(i, j)
     if chi_of_entry(dims) != chi:
         raise ValueError(f"resolved entry ({i},{j}) sums to {chi_of_entry(dims)}, pairing gives {chi}")
-    return make_collection(c.objects, c.table.with_entry(i, j, dims), c.euler)
+    return ExcCollection(c.objects, c.table.with_entry(i, j, dims), c.euler)
 
 
 @dataclass(frozen=True)
@@ -312,18 +352,23 @@ def ext_shift(c: ExcCollection) -> tuple[int, ...]:
 
 
 def shift_objects(c: ExcCollection, p) -> ExcCollection:
-    """The collection {E_i[p_i]} with its table in the shifted grading."""
+    """The collection {E_i[p_i]} with its table in the shifted grading.
+
+    A shift by k multiplies a class by (-1)^k and moves the degrees of an
+    entry (i, j) by p_i - p_j, so every pairing and every Euler sum changes
+    by the same sign and the collection stays valid.  Only the new labels
+    can collide, so they alone are checked."""
     p = tuple(int(x) for x in p)
     if len(p) != c.size:
         raise ValueError("shift vector length mismatch")
-    objects = [o.shifted(k) for o, k in zip(c.objects, p)]
-    entries: dict[tuple[int, int], dict[int, int] | None] = {}
-    for (i, j), e in c.table.items():
-        if e is None:
-            entries[(i, j)] = None
-        else:
-            entries[(i, j)] = {k + p[i] - p[j]: d for k, d in e.items()}
-    return make_collection(objects, HomTable(c.size, entries), c.euler)
+    objects = tuple(o.shifted(k) for o, k in zip(c.objects, p))
+    if len({o.label for o in objects}) != len(objects):
+        raise ValueError("duplicate labels")
+    entries: dict[tuple[int, int], dict[int, int] | None] = {
+        (i, j): None if e is None else {k + p[i] - p[j]: d for k, d in e.items()}
+        for (i, j), e in c.table._entries.items()
+    }
+    return ExcCollection(objects, HomTable._of_clean(c.size, entries), c.euler)
 
 
 # -- serialization ---------------------------------------------------------

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from stabctl import exc_collections as xc
+from stabctl import pn_model as pn
 from stabctl.klattice import EulerMatrix, euler_pair
 
 
@@ -259,3 +260,227 @@ def test_hom_table_text_round_trip():
     text = xc.format_hom_table(table)
     back = xc.parse_hom_table(text, 3)
     assert back == table
+
+
+# -- local-update constructions against their make_collection references --
+
+
+def _reference_mutate(c, i, direction):
+    """`mutate` as it was when it ended in `make_collection`."""
+    n = c.size
+    if not (0 <= i < n - 1):
+        raise ValueError(f"no adjacent pair at {i}")
+    if direction == xc.LEFT:
+        kp, mp, s, letter = i, i + 1, 1, "L"
+    elif direction == xc.RIGHT:
+        kp, mp, s, letter = i + 1, i, -1, "R"
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    pair = c.table.entry(i, i + 1)
+    if pair is None:
+        raise ValueError(f"cannot mutate: entry ({i},{i + 1}) is unknown")
+    k_obj, m_obj = c.objects[kp], c.objects[mp]
+    chi = c.chi(i, i + 1)
+    new_class = tuple(chi * a - b for a, b in zip(k_obj.kclass, m_obj.kclass))
+    objects = list(c.objects)
+    objects[mp] = k_obj
+    objects[kp] = xc.ExcObject(f"{letter}[{k_obj.label}]({m_obj.label})", new_class)
+    entries = {
+        (a, b): e for (a, b), e in c.table.items() if a not in (i, i + 1) and b not in (i, i + 1)
+    }
+    entries[(i, i + 1)] = {-k: d for k, d in pair.items()}
+    for j in range(n):
+        if j in (i, i + 1):
+            continue
+        jk, jm, t = ((j, kp), (j, mp), s) if j < i else ((kp, j), (mp, j), -s)
+        entries[jm] = c.table.entry(*jk)
+        via_k, via_m = c.table.support(*jk), c.table.support(*jm)
+        if via_k is None or via_m is None:
+            entries[jk] = None
+            continue
+        dset = {a + t * k for a in via_k for k in pair} | {b + t for b in via_m}
+        pairing = euler_pair(c.euler, objects[jk[0]].kclass, objects[jk[1]].kclass)
+        entries[jk] = xc._entry_from_bound(dset, pairing, f"({jk[0]},{jk[1]})")
+    return xc.make_collection(objects, xc.HomTable(n, entries), c.euler)
+
+
+def _reference_shift_objects(c, p):
+    p = tuple(int(x) for x in p)
+    if len(p) != c.size:
+        raise ValueError("shift vector length mismatch")
+    objects = [o.shifted(k) for o, k in zip(c.objects, p)]
+    entries = {}
+    for (i, j), e in c.table.items():
+        entries[(i, j)] = None if e is None else {k + p[i] - p[j]: d for k, d in e.items()}
+    return xc.make_collection(objects, xc.HomTable(c.size, entries), c.euler)
+
+
+def _reference_resolve_entry(c, i, j, dims):
+    if c.table.entry(i, j) is not None:
+        raise ValueError(f"entry ({i},{j}) is already exact")
+    chi = c.chi(i, j)
+    if xc.chi_of_entry(dims) != chi:
+        raise ValueError(
+            f"resolved entry ({i},{j}) sums to {xc.chi_of_entry(dims)}, pairing gives {chi}"
+        )
+    return xc.make_collection(c.objects, c.table.with_entry(i, j, dims), c.euler)
+
+
+def _outcome(fn, *args):
+    """('ok', collection) or ('error', message) for one call."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _assert_same(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+        return
+    a, b = got[1], want[1]
+    assert [o.label for o in a.objects] == [o.label for o in b.objects]
+    assert [o.kclass for o in a.objects] == [o.kclass for o in b.objects]
+    assert all(type(x) is int for o in a.objects for x in o.kclass)
+    assert all(type(x) is int for _, e in a.table.items() if e for kv in e.items() for x in kv)
+    assert [o.shift for o in a.objects] == [o.shift for o in b.objects]
+    assert all(x.rep is y.rep for x, y in zip(a.objects, b.objects))
+    assert list(a.table.items()) == list(b.table.items())
+    assert a.table.has_unknown() == b.table.has_unknown()
+    assert a.euler == b.euler
+    # every result is still a valid collection by the full check
+    xc.make_collection(a.objects, a.table, a.euler)
+
+
+def _random_resolution(rng, c, i, j):
+    """Dims for the unknown entry (i, j): usually summing to the pairing,
+    sometimes off by one, sometimes spread over two degrees or with a
+    zero dimension."""
+    chi = c.chi(i, j)
+    k = 2 * rng.randint(-1, 1) + (chi < 0)
+    dims = {k: abs(chi)}
+    roll = rng.random()
+    if roll < 0.2:
+        dims[k] += 1
+    elif roll < 0.4:
+        dims = {k: abs(chi) + 1, k + 1: 1}
+    elif roll < 0.5:
+        dims[k + 2] = 0
+    return dims
+
+
+def _start_collections(rng):
+    for n, b in ((1, 0), (2, -1), (2, 1), (3, 0)):
+        yield pn.pn_collection(n, b)
+    for _ in range(300):
+        size = rng.randint(2, 6)
+        c = _random_open_collection(rng, size) if rng.random() < 0.7 else _random_collection(rng, size)
+        if rng.random() < 0.3:
+            p = [rng.randint(-2, 2) for _ in range(size)]
+            _assert_same(_outcome(xc.shift_objects, c, p), _outcome(_reference_shift_objects, c, p))
+            c = xc.shift_objects(c, p)
+        yield c
+
+
+def test_mutate_matches_the_make_collection_reference_on_random_walks():
+    rng = random.Random(1101)
+    counts = {"ok": 0, "error": 0, "resolved": 0, "shifted": 0}
+    for start in _start_collections(rng):
+        c = start
+        for _ in range(14):
+            roll = rng.random()
+            unknown = [key for key, e in c.table.items() if e is None]
+            if unknown and roll < 0.25:
+                i, j = rng.choice(unknown)
+                dims = _random_resolution(rng, c, i, j)
+                got = _outcome(xc.resolve_entry, c, i, j, dims)
+                _assert_same(got, _outcome(_reference_resolve_entry, c, i, j, dims))
+                if got[0] == "ok":
+                    c = got[1]
+                    counts["resolved"] += 1
+                continue
+            if roll < 0.32:
+                p = [rng.randint(-1, 2) for _ in range(c.size)]
+                got = _outcome(xc.shift_objects, c, p)
+                _assert_same(got, _outcome(_reference_shift_objects, c, p))
+                if got[0] == "ok":
+                    c = got[1]
+                    counts["shifted"] += 1
+                continue
+            i = rng.randint(-1, c.size - 1) if rng.random() < 0.1 else rng.randint(0, c.size - 2)
+            direction = "up" if rng.random() < 0.03 else rng.choice((xc.LEFT, xc.RIGHT))
+            got = _outcome(xc.mutate, c, i, direction)
+            _assert_same(got, _outcome(_reference_mutate, c, i, direction))
+            counts[got[0]] += 1
+            if got[0] == "ok":
+                c = got[1]
+    # the walks reach every path: results, refusals, resolutions and shifts
+    assert all(v > 100 for v in counts.values()), counts
+
+
+def test_shift_objects_and_resolve_entry_refuse_like_their_references():
+    c = _triangle()
+    for p in ((1, 0), (0, 0, 0, 0), (1, 2, 3)):
+        _assert_same(_outcome(xc.shift_objects, c, p), _outcome(_reference_shift_objects, c, p))
+    clash = xc.make_collection(
+        (xc.ExcObject("E0", (1, 0)), xc.ExcObject("E0[1]", (0, 1))),
+        xc.HomTable(2, {}),
+        EulerMatrix(((1, 0), (0, 1))),
+    )
+    got = _outcome(xc.shift_objects, clash, (1, 0))
+    assert got == ("error", "duplicate labels")
+    _assert_same(got, _outcome(_reference_shift_objects, clash, (1, 0)))
+    m = xc.mutate(c, 0, xc.RIGHT)
+    for i, j, dims in (
+        (1, 2, {0: 3}),
+        (1, 2, {0: 3, 4: 0}),
+        (1, 2, {0: 4}),
+        (1, 2, {0: 5, 1: 2}),
+        (0, 1, {0: 3}),
+        (2, 1, {0: 3}),
+        (1, 3, {0: 3}),
+    ):
+        _assert_same(
+            _outcome(xc.resolve_entry, m, i, j, dims),
+            _outcome(_reference_resolve_entry, m, i, j, dims),
+        )
+    # a negative dimension is refused by the table, with the same text
+    neg = _basis_collection({(0, 1): None}, ((1, -3), (0, 1)))
+    got = _outcome(xc.resolve_entry, neg, 0, 1, {0: -3})
+    assert got == ("error", "negative dimension in entry (0,1)")
+    _assert_same(got, _outcome(_reference_resolve_entry, neg, 0, 1, {0: -3}))
+
+
+def test_mutated_tables_share_nothing_a_caller_can_change():
+    c = _random_collection(random.Random(7), 5)
+    out = xc.mutate(c, 1, xc.RIGHT)
+    before, after = list(c.table.items()), list(out.table.items())
+    assert any(e is None for _, e in after) and sum(bool(e) for _, e in after) > 3
+    for table in (c.table, out.table):
+        for key, _ in table.items():
+            got = table.entry(*key)
+            if got is not None:
+                got[99] = 1
+    for key, e in out.table.items():
+        if e is None:
+            chi = out.chi(*key)
+            xc.resolve_entry(out, *key, {0: chi} if chi >= 0 else {1: -chi})
+        out.table.with_entry(*key, {5: 7})
+        out.table.with_entry(*key, None)
+    xc.shift_objects(out, (1, 0, 2, 0, 1)).table.with_entry(0, 4, {9: 9})
+    xc.mutate(out, 3, xc.LEFT)
+    assert list(c.table.items()) == before
+    assert list(out.table.items()) == after
+
+
+def test_mutation_refuses_a_label_already_in_use():
+    c = _basis_collection({(0, 1): {0: 2}}, ((1, 2, 0), (0, 1, 0), (0, 0, 1)))
+    objects = list(c.objects)
+    objects[2] = replace(objects[2], label="R[E1](E0)")
+    clash = xc.make_collection(objects, c.table, c.euler)
+    with pytest.raises(ValueError, match="^duplicate labels$"):
+        xc.mutate(clash, 0, xc.RIGHT)
+    with pytest.raises(ValueError, match="^duplicate labels$"):
+        _reference_mutate(clash, 0, xc.RIGHT)
+    assert xc.mutate(clash, 0, xc.LEFT).objects[0].label == "L[E0](E1)"
