@@ -106,8 +106,10 @@ def tokens_to_data(tokens: tuple[PhaseToken, ...]) -> dict:
 
 
 def tokens_from_data(data: dict) -> tuple[PhaseToken, ...]:
-    return tuple(
-        PhaseToken(GaussianRational.parse(t["z"]), int(t["w"])) for t in data["tokens"]
+    return xc._field(
+        "tokens",
+        data["tokens"],
+        lambda ts: tuple(PhaseToken(GaussianRational.parse(t["z"]), int(t["w"])) for t in ts),
     )
 
 

@@ -30,9 +30,9 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _read_source(value: str) -> str:
-    # literal JSON can be passed inline, anything else is a file path
-    if value.lstrip().startswith("{"):
+def _read_source(value: str, head: str = "{") -> str:
+    # literal JSON or rep text can be passed inline, anything else is a file path
+    if value.lstrip().startswith(head):
         return value
     return Path(value).read_text()
 
@@ -126,7 +126,7 @@ def cmd_member(args) -> int:
 
 def cmd_hn(args) -> int:
     quiver = _parse_quiver(args.quiver)
-    rep = rep_lab.parse_rep(_read_source_rep(args.rep), quiver)
+    rep = rep_lab.parse_rep(_read_source(args.rep, "rep "), quiver)
     charge = CentralCharge(_parse_charges(args.charge))
     factors = rep_lab.hn(rep, charge, bound=args.oracle_bound, extractor=args.extractor)
     _emit(
@@ -137,12 +137,6 @@ def cmd_hn(args) -> int:
         }
     )
     return 0
-
-
-def _read_source_rep(value: str) -> str:
-    if value.lstrip().startswith("rep "):
-        return value
-    return Path(value).read_text()
 
 
 def cmd_stable_pair(args) -> int:

@@ -64,7 +64,7 @@ def _store(entries: dict, i: int, j: int, e: dict[int, int] | None) -> None:
     if e is None:
         entries[(i, j)] = None
         return
-    clean = {int(k): int(d) for k, d in e.items() if d != 0}
+    clean = {k: d for k, d in ((int(k), int(d)) for k, d in e.items()) if d != 0}
     if any(d < 0 for d in clean.values()):
         raise ValueError(f"negative dimension in entry ({i},{j})")
     if clean:
@@ -460,18 +460,27 @@ def _derive_euler(classes: list[KClass], table: HomTable) -> EulerMatrix:
     return EulerMatrix(tuple(entries))
 
 
+def _field(name: str, value, read):
+    """read(value), with a JSON value of the wrong shape refused by its field name."""
+    try:
+        return read(value)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {name!r} field: {exc}") from None
+
+
 def collection_from_data(data: dict, table: HomTable | None = None) -> ExcCollection:
-    labels = list(data["labels"])
-    classes = [tuple(int(x) for x in cl) for cl in data["classes"]]
-    shifts = [int(x) for x in data.get("shifts", [0] * len(labels))]
+    labels = _field("labels", data["labels"], list)
+    classes = _field("classes", data["classes"], lambda v: [tuple(int(x) for x in c) for c in v])
+    shifts = _field("shifts", data.get("shifts", [0] * len(labels)), lambda v: [int(x) for x in v])
     if table is None:
-        entries: dict[tuple[int, int], dict[int, int] | None] = {}
-        for key, e in (data.get("table") or {}).items():
-            i, j = (int(x) for x in key.split(","))
-            entries[(i, j)] = None if e is None else {int(k): int(d) for k, d in e.items()}
-        table = HomTable(len(labels), entries)
+        # HomTable cleans each entry to int degrees and nonzero dimensions
+        table = _field(
+            "table",
+            data.get("table") or {},
+            lambda t: HomTable(len(labels), {tuple(map(int, k.split(","))): e for k, e in t.items()}),
+        )
     if data.get("euler") is not None:
-        euler = EulerMatrix(tuple(tuple(int(x) for x in row) for row in data["euler"]))
+        euler = _field("euler", data["euler"], EulerMatrix)
     else:
         euler = _derive_euler(classes, table)
     objects = [ExcObject(lab, cl, sh) for lab, cl, sh in zip(labels, classes, shifts)]

@@ -4,7 +4,7 @@ The lattice classes, the helix of rigid modules, the adjacent-pair chart
 system, chart membership, the reference orbit, and the Monte Carlo overlap
 scan all live here.  The helix has one construction: reflections at the
 sink going left (Bernstein, Gelfand and Ponomarev 1973), vector-space duals
-of those going right, and every module certified rigid.  Membership and
+of those going right, all rigid by the reflection theorem.  Membership and
 the orbit are read from the phase gap of the two tokens without the
 oracle: the stability chamber of the helix modules is a gap in (0, 1)
 (King 1994; Schofield, "Semi-invariants of quivers", 1991), and so is the
@@ -87,12 +87,6 @@ def pn_euler(n: int) -> EulerMatrix:
     return EulerMatrix(((1, -n), (0, 1)))
 
 
-def _certify_rigid(rep) -> None:
-    he = rep_lab.hom_ext(rep, rep)
-    if (he.hom, he.ext) != (1, 0):
-        raise RuntimeError("helix recursion produced a non-rigid module")
-
-
 def _reflect(rep):
     """The reflection at the sink, read back on the same quiver.
 
@@ -120,15 +114,16 @@ def s_rep(n: int, k: int):
     to isomorphism by its dimension vector, so this is the kernel of the
     universal map S_{k+1}^n -> S_{k+2}.  Going right, S_k is the dual of
     S_{1-k}, since the vector-space dual takes preinjectives to
-    preprojectives.  Every returned module is certified rigid.
+    preprojectives.  Every module is rigid by the reflection theorem: on
+    modules with no sink-simple summand (the joint surjectivity _reflect
+    checks) the reflection keeps End and the Euler form, so Ext^1 = hom -
+    chi too, and duality keeps both.
     """
     if n < 2:
         raise ValueError("recursion is for two or more arrows; one arrow is periodic")
     if k == 0:
         return rep_lab.vertex_simple(kronecker_quiver(n), 0)
-    rep = _reflect(s_rep(n, k + 1)) if k < 0 else rep_lab.dual(s_rep(n, 1 - k))
-    _certify_rigid(rep)
-    return rep
+    return _reflect(s_rep(n, k + 1)) if k < 0 else rep_lab.dual(s_rep(n, 1 - k))
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +132,8 @@ def helix_module(n: int, i: int):
 
     For one arrow the helix is periodic of order three up to shift, so the
     modules repeat; otherwise s_rep supplies them, reflections going left
-    and duals going right, each certified rigid.  The lattice class is
-    checked against the closed recurrence on the spot.
+    and duals going right, each rigid by the reflection theorem.  The
+    lattice class is checked against the closed recurrence on the spot.
     """
     if n < 1:
         raise ValueError("need at least one arrow")

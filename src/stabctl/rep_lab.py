@@ -143,9 +143,9 @@ def parse_rep(text: str, quiver: Quiver) -> QuiverRep:
         line = raw.split("#", 1)[0].strip()
         if line:
             rows.append(line.split())
-    if not rows or rows[0][0] != "rep":
-        raise ValueError("missing rep header")
-    header = rows[0]
+    header = rows[0] if rows else []
+    if header[:1] != ["rep"] or len(header) != 2 + quiver.vertex_count:
+        raise ValueError(f"a rep header is 'rep NAME' and {quiver.vertex_count} dims")
     if header[1] != quiver.name:
         raise ValueError(f"rep is for quiver {header[1]!r}, expected {quiver.name!r}")
     dims = tuple(int(x) for x in header[2:])
@@ -736,7 +736,13 @@ class ThetaResult:
 
 
 def theta_test(m: QuiverRep, charge: CentralCharge, bound: int | None = None) -> ThetaResult:
-    """King stability of a representation against a half-plane charge."""
+    """King stability of a representation against a half-plane charge.
+
+    Verdicts are over QQ: a subrep counts only with a rational witness.
+    p2 dims (2, 2), A = I, B = [[0, 2], [1, 0]] is stable at charge
+    (-1, 1+i), scanning (0,0), (0,1), (0,2), (1,2), (2,2); over QQ(sqrt 2)
+    the eigenvectors of B span a (1, 1) subrep of the same phase.
+    """
     _check_stability_function(charge, m.quiver)
     if m.is_zero():
         raise ValueError("the zero representation has no stability verdict")

@@ -291,6 +291,38 @@ def test_bad_index_is_a_usage_error(capsys):
     assert "no adjacent pair at 5" in err
 
 
+@pytest.mark.parametrize("rep", ["rep p2 3", "rep  "])
+def test_a_short_rep_header_is_a_usage_error(capsys, rep):
+    code, out, err = run(capsys, ["hn", "--rep", rep, "--charge=-1,1+1i"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _with(base: str, **fields) -> str:
+    return json.dumps({**json.loads(base), **fields})
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["member", "--chart", "0", "--point", _with(SIGMA, tokens=5)], "tokens"),
+        (["member", "--chart", "0", "--point", _with(SIGMA, tokens=[1, 2])], "tokens"),
+        (
+            ["member", "--chart", "0", "--point", _with(SIGMA, tokens=[{"z": 1, "w": 0}])],
+            "tokens",
+        ),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, classes=5)], "classes"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1": 5})], "table"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table=[1])], "table"),
+    ],
+    ids=["tokens-int", "tokens-ints", "z-int", "classes-int", "entry-int", "table-list"],
+)
+def test_badly_shaped_json_is_a_usage_error(capsys, argv, field):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed {field!r} field")
+
+
 def test_missing_collection_source_is_a_usage_error(capsys):
     code, _, err = run(capsys, ["classify"])
     assert code == 2

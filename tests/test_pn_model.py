@@ -102,18 +102,35 @@ def test_hom_degree_prediction():
 
 
 def test_four_arrow_helix_law():
+    # the diagonal is the rigidity check of the n = 4 modules
     pairs = 0
     for i in range(-3, 5):
         for j in range(-3, 5):
-            if i == j:
-                continue
-            degree, dim = pn_model.module_hom_prediction(4, i, j)
+            degree, dim = (0, 1) if i == j else pn_model.module_hom_prediction(4, i, j)
             he = rep_lab.hom_ext(
                 pn_model.helix_module(4, i)[0], pn_model.helix_module(4, j)[0]
             )
             assert (he.hom, he.ext) == ((dim, 0) if degree == 0 else (0, dim)), (i, j)
             pairs += 1
-    assert pairs == 56
+    assert pairs == 64
+
+
+def test_the_helix_is_built_without_hom_ext(monkeypatch):
+    # rigidity comes from the reflection theorem, so no build computes a
+    # hom space; the rigidity checks live in the tests and criterion 03
+    def no_hom_ext(*args, **kwargs):
+        raise AssertionError("hom_ext ran while building the helix")
+
+    pn_model.s_rep.cache_clear()
+    pn_model.helix_module.cache_clear()
+    monkeypatch.setattr(rep_lab, "hom_ext", no_hom_ext)
+    for n, low, high in ((2, -6, 6), (3, -5, 5), (4, -3, 4)):
+        for k in range(low, high + 1):
+            module, _ = pn_model.helix_module(n, k)
+            assert module == pn_model.s_rep(n, k)
+    big = pn_model.s_rep(3, -5)
+    assert big.dims == (144, 55)
+    assert big == pn_model._reflect(pn_model.s_rep(3, -4))
 
 
 def test_reference_point_serialization():

@@ -622,6 +622,21 @@ def test_rep_text_round_trip():
         rep_lab.parse_rep("rep p2 1 1\n1\n", q)
     with pytest.raises(ValueError):
         rep_lab.parse_rep(text + "0 0\n", q)
+    for short in ("rep p2 2", "rep", "rep p2 2 1 1\n1 2\n0 3\n"):
+        with pytest.raises(ValueError, match="rep header"):
+            rep_lab.parse_rep(short, q)
+
+
+def test_verdicts_are_over_the_rationals():
+    # End(M) is QQ(sqrt 2): over QQ(sqrt 2) the eigenvectors of B span a
+    # (1, 1) subrep of M's phase, but over QQ there is none, so M is stable
+    q = kronecker_quiver(2)
+    m = rep_lab.parse_rep("rep p2 2 2\n1 0\n0 1\n0 2\n1 0\n", q)
+    charge = CentralCharge((gauss(-1), gauss(1, 1)))
+    assert rep_lab.theta_test(m, charge) == rep_lab.ThetaResult("stable", None, ())
+    scan = rep_lab.subrep_dimvecs(m)
+    assert scan.vectors == ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))
+    assert (1, 1) not in scan.vectors
 
 
 def test_frac_inverse():
