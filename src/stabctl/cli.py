@@ -37,16 +37,23 @@ def _read_source(value: str, head: str = "{") -> str:
     return Path(value).read_text()
 
 
+def _load_object(value: str) -> dict:
+    data = json.loads(_read_source(value))
+    if not isinstance(data, dict):
+        raise ValueError(f"a JSON object is expected, not {type(data).__name__}")
+    return data
+
+
 def _load_collection(args) -> xc.ExcCollection:
     if getattr(args, "pn", None) is not None:
         return pn_model.pn_collection(args.pn, getattr(args, "base", 0) or 0)
     if getattr(args, "collection", None) is None:
         raise ValueError("pass --collection FILE or --pn N")
-    return xc.collection_from_data(json.loads(_read_source(args.collection)))
+    return xc.collection_from_data(_load_object(args.collection))
 
 
 def _load_point(value: str) -> pn_model.PnPoint:
-    return pn_model.point_from_data(json.loads(_read_source(value)))
+    return pn_model.point_from_data(_load_object(value))
 
 
 def _parse_quiver(spec: str) -> Quiver:

@@ -6,6 +6,13 @@ two-term projective resolution, subrepresentation dimension vectors through
 modular enumeration with rational certification, and stability or
 Harder-Narasimhan data through exact phase comparison.
 
+On two vertices the certificates come from exact source subspaces alone,
+with no random draw: the largest subspace the arrows map into a lifted
+enumerated sink subspace, and the blocks of the kernels of the joint arrow
+map and of its transpose.  The certified vectors are closed under shrinking
+the source and growing the sink, since a subrepresentation (U, W) gives
+every (u, e) with u <= dim U and e >= dim W.
+
 Hom dimensions follow one ladder at every size: a rank modulo each large
 prime, accepted when it meets the Euler bound hom >= max(chi, 0), and exact
 elimination only when no prime certifies.  Hom bases are always solved
@@ -22,8 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
-from itertools import combinations, islice
+from functools import lru_cache
 
 import numpy as np
 
@@ -379,75 +385,34 @@ def dual(m: QuiverRep) -> QuiverRep:
 
 
 def _enum_two_vertex(m: QuiverRep, p: int):
-    """Candidate (source, sink) subrep dims mod p with one witness each.
+    """Candidate (source, sink) subrep dims mod p with one sink subspace each.
 
     Enumerates sink subspaces W; the largest source subspace mapping into W
     is the meet of the arrow preimages, of dimension
     mu(W) = d_src - rank(stack of C A_a) with C the rows annihilating W.
     W comes in blocks of one pivot pattern, each block ranked by one stacked
-    elimination, and a kernel basis is solved only for the first W that
-    reaches a new (u, e).  Blocks of e are skipped once every (u, e) is
-    found.  Returns {vec: (w_rref, kernel_basis)}.
+    elimination, and blocks of e are skipped once every (u, e) is found.
+    Returns {vec: w_rref} with the first W that reaches each vec.
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
     amats = np.stack([_matrix_mod_p(mat, p).reshape(d_snk, d_src) for mat in m.matrices])
-    found: dict[tuple[int, int], tuple] = {}
+    found: dict[tuple[int, int], np.ndarray] = {}
     for e in range(d_snk + 1):
-        missing = list(range(d_src + 1))  # source dims u with (u, e) not found
+        low = 0  # (u, e) is found for every u < low
         for w, c in _linalg.subspace_blocks_mod_p(d_snk, e, p):
-            if not missing:
-                break
             # row (a, r) of matrix b: row r of C_b A_a
             stacked = (c[:, None] @ amats % p).reshape(len(c), len(amats) * (d_snk - e), d_src)
             ranks = _linalg.mod_p_rank(stacked, p)
             for i, mu in enumerate((d_src - ranks).tolist()):
-                if not missing or missing[0] > mu:
-                    continue
-                kern = _linalg.mod_p_kernel(stacked[i], p)
-                for u in missing:
-                    if u <= mu:
-                        vec = (u, e) if src == 0 else (e, u)
-                        found[vec] = (w[i].copy(), kern[:u].copy())
-                missing = [u for u in missing if u > mu]
+                if mu >= low:
+                    wi = w[i].copy()
+                    for u in range(low, mu + 1):
+                        found[(u, e) if src == 0 else (e, u)] = wi
+                    low = mu + 1
+            if low > d_src:
+                break
     return found
-
-
-def _certify_two_vertex(m: QuiverRep, vec, pool, rng) -> tuple | None:
-    """Rational witness for a candidate vector, one row basis per vertex."""
-    src = _source_vertex(m.quiver)
-    snk = 1 - src
-    d_src, d_snk = m.dims[src], m.dims[snk]
-    u, e = vec[src], vec[snk]
-    amats = [mat for mat in m.matrices if mat]
-
-    def attempt(urows):
-        urows = [[Fraction(x) for x in row] for row in urows]
-        if len(urows) != u:
-            return None
-        if u and _linalg.frac_rank(urows) != u:
-            return None
-        # W is the span of the images, completed by unit vectors to dimension e
-        img = [_linalg.frac_matvec(mat, r) for r in urows for mat in amats]
-        span, units = _linalg.span_and_complement(img, d_snk)
-        if len(span) > e:
-            return None
-        ubasis = tuple(tuple(r) for r in urows)
-        wbasis = tuple(tuple(r) for r in (span + units)[:e])
-        return (ubasis, wbasis) if src == 0 else (wbasis, ubasis)
-
-    if u == 0:
-        return attempt([])
-    for cand in pool:
-        got = attempt(cand)
-        if got:
-            return got
-    for _ in range(30):
-        cand = [[rng.randint(-2, 2) for _ in range(d_src)] for _ in range(u)]
-        got = attempt(cand)
-        if got:
-            return got
-    return None
 
 
 def subrep_dimvecs(m: QuiverRep, bound: int | None = None) -> SubrepScan:
@@ -455,7 +420,10 @@ def subrep_dimvecs(m: QuiverRep, bound: int | None = None) -> SubrepScan:
 
     Candidates come from subspace enumeration over small finite fields
     (intersected across fields); each candidate is kept only with an exact
-    witness.  Uncertified leftovers are reported, never silently used.
+    witness.  On two vertices one exact source subspace certifies every
+    candidate under its corner at once (_two_vertex_witnesses); other
+    quivers lift each field's witness.  Uncertified leftovers are reported,
+    never silently used.
     """
     return _subrep_cached(m, bound if bound is not None else DEFAULT_BOUND)
 
@@ -497,110 +465,93 @@ def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
     if not primes:
         raise OracleBoundError("no usable enumeration prime")
 
-    per_prime: list[dict] = []
+    per_prime = []
     for p in primes:
         cands = _enum_two_vertex(work, p)
         if dualize:
             # a subrep of D m is the annihilator of a quotient of m, whose
             # kernel has the complementary dims on the swapped vertices
-            per_prime.append(
-                {
-                    (m.dims[0] - vec[1], m.dims[1] - vec[0]): (wit, p)
-                    for vec, wit in cands.items()
-                }
-            )
-        else:
-            per_prime.append({vec: (wit, p) for vec, wit in cands.items()})
+            cands = {(m.dims[0] - vec[1], m.dims[1] - vec[0]): w for vec, w in cands.items()}
+        per_prime.append((p, cands))
 
-    surviving = set(per_prime[0])
-    for cand in per_prime[1:]:
-        surviving &= set(cand)
-
-    # seeded from the canonical text, so the witnesses do not depend on
-    # PYTHONHASHSEED
-    rng = random.Random(f"subrep:{format_rep(m)}")
-    kernels = cache(lambda: _kernel_pool(m, src))
-    witnesses = {}
-    uncertified = []
-    for vec in sorted(surviving):
-        pool = _witness_pool(m, vec, per_prime, dualize, kernels)
-        wit = _certify_two_vertex(m, vec, pool, rng)
-        if wit is not None:
-            witnesses[vec] = wit
-        else:
-            uncertified.append(vec)
+    surviving = set.intersection(*(set(cands) for _, cands in per_prime))
+    witnesses = _two_vertex_witnesses(m, surviving, per_prime, dualize)
     vectors = tuple(sorted(witnesses))
-    return SubrepScan(vectors, witnesses, tuple(sorted(uncertified)))
+    return SubrepScan(vectors, witnesses, tuple(sorted(surviving - set(witnesses))))
 
 
-def _witness_pool(m: QuiverRep, vec, per_prime, dualize: bool, kernels):
-    """Candidate source bases for vec, built one at a time as they are tried.
+def _two_vertex_witnesses(m: QuiverRep, surviving, per_prime, dualize: bool) -> dict:
+    """Rational witnesses for the surviving candidates, one basis per vertex.
 
-    Lifts of each prime's witness come first, then arrow-kernel bases
-    (kernels() computes them once per scan), then coordinate subspaces.
+    A subrep (U, W) gives every (u, e) with u <= dim U and dim W <= e: keep
+    u rows of U and complete W with unit vectors.  So one exact source
+    subspace U certifies every candidate under the corner
+    (dim U, dim sum_a A_a U) at once.  Candidates are taken sink dimension
+    ascending, then source dimension descending, and exact subspaces U are
+    tried until every one is certified:
+
+    - for each candidate still uncertified, the lift of its sink subspace
+      from one prime at a time, and U the largest subspace every arrow maps
+      into it (in the dualized scan, the annihilator of the lifted
+      functionals);
+    - then the blocks of each kernel vector of the joint map
+      (A_1 ... A_n): V_src^n -> V_snk, the kernel of the reflection at the
+      sink (Bernstein, Gelfand and Ponomarev 1973), each independent prefix
+      of them;
+    - then, for the transposed joint map, the largest U mapping into the
+      annihilator of each independent prefix of blocks.
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
-    u = vec[src]
-    for cand in per_prime:
-        if vec not in cand:
-            continue
-        (w_p, kern_p), p = cand[vec]
-        if dualize:
-            # the enumerated subspace lives in functionals on the source
-            lifted = _linalg.centered_lift(w_p, p)
-            urows = _linalg.frac_kernel(
-                [[Fraction(int(x)) for x in row] for row in lifted], d_src
-            )
-            if len(urows) == u:
-                yield urows
-            continue
-        lifted = _linalg.centered_lift(kern_p[:u], p)
-        yield [[Fraction(int(x)) for x in row] for row in lifted]
-        wq = [[Fraction(int(x)) for x in row] for row in _linalg.centered_lift(w_p, p)]
-        ann = _linalg.frac_kernel(wq, d_snk) if wq else _linalg.frac_identity(d_snk)
-        cond = []
-        for y in ann:
-            for mat in m.matrices:
-                row = [Fraction(0)] * d_src
-                for i, yi in enumerate(y):
-                    if yi:
-                        for j in range(d_src):
-                            row[j] += yi * mat[i][j]
-                cond.append(row)
-        uq = _linalg.frac_kernel(cond, d_src) if cond else _linalg.frac_identity(d_src)
-        if len(uq) >= u:
-            yield uq[:u]
-    for kb in kernels():
-        if len(kb) >= u:
-            yield kb[:u]
-    for comb in islice(combinations(range(d_src), u), 60):
-        yield [[Fraction(1 if j == c else 0) for j in range(d_src)] for c in comb]
+    narr = len(m.matrices)
+    transposed = [[[mat[i][j] for i in range(d_snk)] for j in range(d_src)] for mat in m.matrices]
+    todo = sorted(surviving, key=lambda vec: (vec[1 - src], -vec[src]))
+    witnesses = {}
 
+    def preimage(ann):
+        """The largest source subspace every arrow maps into the annihilator of ann."""
+        cond = [_linalg.frac_matvec(t, y) for y in ann for t in transposed]
+        return _linalg.frac_kernel(cond, d_src)
 
-def _kernel_pool(m: QuiverRep, src: int):
-    """Rational bases of arrow-kernel intersections, largest sets first."""
-    mats = [[list(row) for row in mat] for mat in m.matrices]
-    pools = []
-    idxs = list(range(len(mats)))
-    subsets = [tuple(idxs)] + [(i,) for i in idxs]
-    seen = set()
-    for sub in subsets:
-        if not sub or sub in seen:
-            continue
-        seen.add(sub)
-        stacked = []
-        for a in sub:
-            stacked.extend(mats[a])
-        stacked = [row for row in stacked if row]
-        basis = (
-            _linalg.frac_kernel(stacked, m.dims[src])
-            if stacked
-            else _linalg.frac_identity(m.dims[src])
-        )
-        if basis:
-            pools.append(basis)
-    return pools
+    def prefixes(rows, width):
+        """Each independent prefix of the width-long blocks of each row."""
+        for row in rows:
+            blocks = [row[a * width : (a + 1) * width] for a in range(narr)]
+            for k in range(1, narr + 1):
+                if _linalg.frac_rank(blocks[:k]) < k:
+                    break
+                yield blocks[:k]
+
+    def sources():
+        for vec in list(todo):
+            for p, cands in per_prime:
+                if vec in witnesses:
+                    break
+                lifted = _linalg.centered_lift(cands[vec], p).tolist()
+                if dualize:
+                    yield _linalg.frac_kernel(lifted, d_src)
+                else:
+                    yield preimage(_linalg.frac_kernel(lifted, d_snk))
+        joint = [[x for mat in m.matrices for x in mat[i]] for i in range(d_snk)]
+        yield from prefixes(_linalg.frac_kernel(joint, narr * d_src), d_src)
+        joint = [[x for t in transposed for x in t[j]] for j in range(d_src)]
+        for ann in prefixes(_linalg.frac_kernel(joint, narr * d_snk), d_snk):
+            yield preimage(ann)
+
+    for urows in sources():
+        if not todo:
+            break
+        img = [_linalg.frac_matvec(mat, r) for r in urows for mat in m.matrices]
+        span, units = _linalg.span_and_complement(img, d_snk)
+        sink = span + units
+        for vec in todo:
+            u, e = vec[src], vec[1 - src]
+            if u <= len(urows) and len(span) <= e:
+                ubasis = tuple(tuple(r) for r in urows[:u])
+                wbasis = tuple(tuple(r) for r in sink[:e])
+                witnesses[vec] = (ubasis, wbasis) if src == 0 else (wbasis, ubasis)
+        todo = [vec for vec in todo if vec not in witnesses]
+    return witnesses
 
 
 def _subrep_general(m: QuiverRep) -> SubrepScan:

@@ -314,13 +314,25 @@ def _with(base: str, **fields) -> str:
         (["classify", "--collection", _with(UNKNOWN_PAIR, classes=5)], "classes"),
         (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1": 5})], "table"),
         (["classify", "--collection", _with(UNKNOWN_PAIR, table=[1])], "table"),
+        (["member", "--chart", "0", "--point", '{"n":[2],"base":0,"tokens":[]}'], "n"),
+        (["member", "--chart", "0", "--point", SIGMA.replace('"base":0', '"base":null')], "base"),
     ],
-    ids=["tokens-int", "tokens-ints", "z-int", "classes-int", "entry-int", "table-list"],
+    ids=["tokens-int", "tokens-ints", "z-int", "classes-int", "entry-int", "table-list", "n-list", "base-null"],
 )
 def test_badly_shaped_json_is_a_usage_error(capsys, argv, field):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: malformed {field!r} field")
+
+
+@pytest.mark.parametrize("flag", ["--point", "--collection"])
+def test_a_json_file_without_an_object_is_a_usage_error(tmp_path, capsys, flag):
+    source = tmp_path / "source.json"
+    source.write_text("[1]")
+    command = ["member", "--chart", "0"] if flag == "--point" else ["classify"]
+    code, out, err = run(capsys, [*command, flag, str(source)])
+    assert code == 2 and out == ""
+    assert err == "error: a JSON object is expected, not list\n"
 
 
 def test_missing_collection_source_is_a_usage_error(capsys):

@@ -13,6 +13,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabctl import _linalg, pn_model, rep_lab
 from stabctl.klattice import (
@@ -240,13 +242,6 @@ def test_subrep_dimvec_fixtures():
     }
 
 
-def _candidates(scan: rep_lab.SubrepScan) -> set:
-    # the random-search certifier is seeded from format_rep(m), which names
-    # the quiver, so the two draw different candidates: compare what
-    # enumeration found
-    return set(scan.vectors) | set(scan.uncertified)
-
-
 def test_subrep_dimvecs_on_a_source_one_quiver():
     # the same matrices read on p2 with the vertices swapped; both the
     # direct and the dualized enumeration branch are reached
@@ -265,8 +260,12 @@ def test_subrep_dimvecs_on_a_source_one_quiver():
                 m = rep_lab.make_rep(flipped, (d0, d1), mats)
                 ref = rep_lab.make_rep(kronecker_quiver(2), (d1, d0), mats)
                 scan = rep_lab.subrep_dimvecs(m)
-                want = {(v1, v0) for v0, v1 in _candidates(rep_lab.subrep_dimvecs(ref))}
-                assert _candidates(scan) == want, (d0, d1, mats)
+                want = rep_lab.subrep_dimvecs(ref)
+                assert scan.vectors == tuple(sorted((v1, v0) for v0, v1 in want.vectors))
+                assert scan.uncertified == tuple(sorted((v1, v0) for v0, v1 in want.uncertified))
+                assert scan.witnesses == {
+                    (v1, v0): (snk, src) for (v0, v1), (src, snk) in want.witnesses.items()
+                }, (d0, d1, mats)
                 # witnesses hold one row basis per vertex, in vertex order
                 for vec, wit in scan.witnesses.items():
                     assert rep_lab._check_general_witness(m, vec, wit), (vec, mats)
@@ -298,15 +297,12 @@ def _enum_reference(m: rep_lab.QuiverRep, p: int) -> dict:
             for u in range(kern.shape[0] + 1):
                 vec = (u, e) if src == 0 else (e, u)
                 if vec not in found:
-                    found[vec] = (w.copy(), kern[:u].copy())
+                    found[vec] = w.copy()
     return found
 
 
 def _same_scan(got: dict, want: dict) -> bool:
-    return list(got) == list(want) and all(
-        np.array_equal(got[v][0], want[v][0]) and np.array_equal(got[v][1], want[v][1])
-        for v in want
-    )
+    return list(got) == list(want) and all(np.array_equal(got[v], want[v]) for v in want)
 
 
 def test_enum_two_vertex_matches_the_per_subspace_scan():
@@ -330,14 +326,44 @@ def test_enum_two_vertex_matches_the_per_subspace_scan():
         assert _same_scan(rep_lab._enum_two_vertex(helix, p), _enum_reference(helix, p))
 
 
-def test_enum_two_vertex_solves_one_kernel_per_new_vector(monkeypatch):
+def test_enum_two_vertex_solves_no_kernel(monkeypatch):
+    # the enumeration keeps only the sink subspace, so it solves no kernel mod p
     calls = []
     kernel = _linalg.mod_p_kernel
     monkeypatch.setattr(_linalg, "mod_p_kernel", lambda mat, p: calls.append(p) or kernel(mat, p))
     for m, p in ((pn_model.s_rep(2, -5), 5), (rep_lab.generic_rep(kronecker_quiver(3), (4, 4), 2), 3)):
-        calls.clear()
-        found = rep_lab._enum_two_vertex(m, p)
-        assert 0 < len(calls) <= len(found)
+        assert rep_lab._enum_two_vertex(m, p)
+    assert calls == []
+
+
+@st.composite
+def _tiny_two_vertex_reps(draw):
+    quiver = kronecker_quiver(draw(st.sampled_from((2, 3))))
+    dims = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+    entry = st.integers(-2, 2)
+    mats = [
+        draw(st.lists(st.lists(entry, min_size=dims[0], max_size=dims[0]), min_size=dims[1], max_size=dims[1]))
+        for _ in quiver.arrows
+    ]
+    return rep_lab.make_rep(quiver, dims, mats)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_tiny_two_vertex_reps())
+def test_two_vertex_scan_certifies_a_closed_set_of_candidates(m):
+    # integer entries and tiny dims: the scan enumerates over 2, 3 and 5,
+    # and the reference scans m itself, never its dual
+    scan = rep_lab.subrep_dimvecs(m)
+    for vec, wit in scan.witnesses.items():
+        assert rep_lab._check_general_witness(m, vec, wit), vec
+    want = set.intersection(*(set(_enum_reference(m, p)) for p in (2, 3, 5)))
+    assert set(scan.vectors) | set(scan.uncertified) == want
+    assert not set(scan.vectors) & set(scan.uncertified)
+    # a subrep (U, W) gives (u - 1, e) and (u, e + 1) by dropping a row of U
+    # or adding a unit vector to W
+    for u, e in scan.vectors:
+        assert u == 0 or (u - 1, e) in scan.vectors
+        assert e == m.dims[1] or (u, e + 1) in scan.vectors
 
 
 def test_subrep_certification_ignores_the_hash_seed():
@@ -407,6 +433,53 @@ def test_theta_test_verdicts():
         rep_lab.theta_test(split, CentralCharge((gauss(1), gauss(0, 1))))
     with pytest.raises(ValueError):
         rep_lab.theta_test(split, CentralCharge((gauss(0, 1),)))
+
+
+P2_5_3 = """rep p2 5 3
+1 -2 1 2 2
+1 2 -2 -1 0
+1 0 -1 -1 -2
+0 -1 -2 -1 0
+2 2 1 -1 -1
+-1 1 2 -2 2
+"""
+P2_3_5 = """rep p2 3 5
+-2 -2 -2
+-2 2 -2
+1 -1 0
+-2 1 2
+2 -1 -2
+-2 -2 2
+1 1 -1
+-2 2 0
+2 1 -2
+1 2 -1
+"""
+
+
+@pytest.mark.parametrize(
+    "text, charge, witness, factors",
+    [
+        (P2_5_3, ((Fraction(-7, 4), Fraction(1, 2)), (-3, Fraction(9, 4))), (2, 1), {(2, 1): -1, (3, 2): -2}),
+        (P2_3_5, ((Fraction(-1, 4), 0), (Fraction(-5, 2), Fraction(1, 2))), (2, 3), {(2, 3): 3, (1, 2): 2}),
+    ],
+    ids=["p2-5-3", "p2-3-5"],
+)
+def test_two_helix_sums_are_unstable(text, charge, witness, factors):
+    # oracle-stream seed 1 inputs 5 and 43, which a per-candidate certifier
+    # answered "stable": each is the sum of two helix modules whose image of
+    # Hom(S_j, M) destabilizes it
+    m = rep_lab.parse_rep(text, kronecker_quiver(2))
+    charge = CentralCharge(tuple(gauss(*z) for z in charge))
+    result = rep_lab.theta_test(m, charge, 12)
+    assert (result.verdict, result.witness, result.uncertified) == ("unstable", witness, ())
+    for extractor in ("phase", "slope"):
+        got = rep_lab.hn(m, charge, 12, extractor=extractor)
+        assert [f.dims for f, _ in got] == list(factors)
+        for f, _ in got:
+            he = rep_lab.hom_ext(f, f)
+            assert (he.hom, he.ext) == (1, 0)
+            assert rep_lab.hom_ext(f, pn_model.s_rep(2, factors[f.dims])).hom > 0
 
 
 def test_hn_splits_a_direct_sum_of_simples():
