@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 import re as _re
 
 
@@ -249,6 +250,40 @@ class CentralCharge:
             sum((v.re * c for c, v in zip(klass, self.values)), Fraction(0)),
             sum((v.im * c for c, v in zip(klass, self.values)), Fraction(0)),
         )
+
+
+@dataclass(frozen=True)
+class PhaseOrder:
+    """The phase order of the charges Z(v) of dimension vectors v >= 0.
+
+    With every charge value Z_i in H, Z(v) lies in H for each nonzero
+    v >= 0, so every winding is 0 and Z(v) has the larger phase exactly when
+    cross(Z(v), Z(w)) < 0.  The cross product is bilinear (King 1994):
+
+        cross(Z(v), Z(w)) = sum over i < j of (v_i w_j - v_j w_i) cross(Z_i, Z_j),
+
+    and the k(k-1)/2 weights are scaled to integers by one positive factor,
+    so the order is the sign of an integer form and no charge is evaluated.
+    """
+
+    weights: tuple[tuple[int, int, int], ...]  # (i, j, scaled cross(Z_i, Z_j)) for i < j
+
+    @staticmethod
+    def of(charge: CentralCharge) -> PhaseOrder:
+        """The order of a charge whose values all lie in H (not checked here)."""
+        k = len(charge)
+        pairs = [(i, j, _cross(charge[i], charge[j])) for i in range(k) for j in range(i + 1, k)]
+        scale = math.lcm(*(c.denominator for _, _, c in pairs))
+        return PhaseOrder(tuple((i, j, int(c * scale)) for i, j, c in pairs if c))
+
+    def cross(self, v, w) -> int:
+        """A positive multiple of cross(Z(v), Z(w))."""
+        return sum(c * (v[i] * w[j] - v[j] * w[i]) for i, j, c in self.weights)
+
+    def compare(self, v, w) -> int:
+        """phase(Z(v)) against phase(Z(w)) as -1, 0 or 1, like phase_compare."""
+        c = self.cross(v, w)
+        return (c < 0) - (c > 0)
 
 
 def charge_rank(charge: CentralCharge) -> int:

@@ -11,7 +11,10 @@ with no random draw: the largest subspace the arrows map into a lifted
 enumerated sink subspace, and the blocks of the kernels of the joint arrow
 map and of its transpose.  The certified vectors are closed under shrinking
 the source and growing the sink, since a subrepresentation (U, W) gives
-every (u, e) with u <= dim U and e >= dim W.
+every (u, e) with u <= dim U and e >= dim W.  The first prime enumerates
+every sink dimension; a further prime runs only while a candidate is
+uncertified, over the sink dimensions of those candidates alone, since a
+certified vector survives reduction mod every prime.
 
 Hom dimensions follow one ladder at every size: a rank modulo each large
 prime, accepted when it meets the Euler bound hom >= max(chi, 0), and exact
@@ -22,6 +25,9 @@ Stability and Harder-Narasimhan data read one subrepresentation scan per
 representation: theta_test compares each scanned charge with Z(M), and hn
 walks the vertices of the convex polygon the scanned charges lie under,
 reading each factor between the witnesses of two consecutive vertices.
+Both order phases by the integer cross-product form of PhaseOrder, linear
+in the dimension vectors, and evaluate a charge only for each HN factor's
+token.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .klattice import (
     CentralCharge,
     GaussianRational,
     OracleBoundError,
+    PhaseOrder,
     PhaseToken,
     Quiver,
     euler_matrix,
@@ -45,7 +52,6 @@ from .klattice import (
     in_half_plane,
     parse_rational,
     format_rational,
-    phase_compare,
 )
 
 LARGE_PRIMES = (10007, 10009, 10037, 10039)
@@ -384,21 +390,22 @@ def dual(m: QuiverRep) -> QuiverRep:
     return make_rep(m.quiver, dims, mats)
 
 
-def _enum_two_vertex(m: QuiverRep, p: int):
+def _enum_two_vertex(m: QuiverRep, p: int, sinks=None):
     """Candidate (source, sink) subrep dims mod p with one sink subspace each.
 
-    Enumerates sink subspaces W; the largest source subspace mapping into W
-    is the meet of the arrow preimages, of dimension
-    mu(W) = d_src - rank(stack of C A_a) with C the rows annihilating W.
-    W comes in blocks of one pivot pattern, each block ranked by one stacked
-    elimination, and blocks of e are skipped once every (u, e) is found.
-    Returns {vec: w_rref} with the first W that reaches each vec.
+    Enumerates sink subspaces W of each dimension in sinks (all of them by
+    default); the largest source subspace mapping into W is the meet of the
+    arrow preimages, of dimension mu(W) = d_src - rank(stack of C A_a) with
+    C the rows annihilating W.  W comes in blocks of one pivot pattern, each
+    block ranked by one stacked elimination, and blocks of e are skipped
+    once every (u, e) is found.  Returns {vec: w_rref} with the first W that
+    reaches each vec.
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
     amats = np.stack([_matrix_mod_p(mat, p).reshape(d_snk, d_src) for mat in m.matrices])
     found: dict[tuple[int, int], np.ndarray] = {}
-    for e in range(d_snk + 1):
+    for e in range(d_snk + 1) if sinks is None else sinks:
         low = 0  # (u, e) is found for every u < low
         for w, c in _linalg.subspace_blocks_mod_p(d_snk, e, p):
             # row (a, r) of matrix b: row r of C_b A_a
@@ -421,9 +428,11 @@ def subrep_dimvecs(m: QuiverRep, bound: int | None = None) -> SubrepScan:
     Candidates come from subspace enumeration over small finite fields
     (intersected across fields); each candidate is kept only with an exact
     witness.  On two vertices one exact source subspace certifies every
-    candidate under its corner at once (_two_vertex_witnesses); other
-    quivers lift each field's witness.  Uncertified leftovers are reported,
-    never silently used.
+    candidate under its corner at once (_two_vertex_witnesses), and a
+    further field is enumerated only at the sink dimensions of candidates
+    still uncertified: a certified vector is a rational subrep, so it
+    survives every field.  Other quivers lift each field's witness.
+    Uncertified leftovers are reported, never silently used.
     """
     return _subrep_cached(m, bound if bound is not None else DEFAULT_BOUND)
 
@@ -442,14 +451,9 @@ def _subrep_cached(m: QuiverRep, bound: int) -> SubrepScan:
     return _subrep_general(m)
 
 
-def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
-    src = _source_vertex(m.quiver)
-    snk = 1 - src
-    d_src, d_snk = m.dims[src], m.dims[snk]
-    dualize = d_src < d_snk
-    work = dual(m) if dualize else m
-    enum_side = min(d_src, d_snk)
-
+def _two_vertex_primes(m: QuiverRep) -> list[int]:
+    """Up to three enumeration primes for the smaller side of m, chosen up front."""
+    enum_side = min(m.dims)
     if _linalg.count_subspaces(enum_side, 2) > HARD_ENUM_BUDGET:
         raise OracleBoundError("subspace enumeration too large")
     dens = _denominators(m)
@@ -464,24 +468,44 @@ def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
             break
     if not primes:
         raise OracleBoundError("no usable enumeration prime")
+    return primes
 
-    per_prime = []
+
+def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
+    primes = _two_vertex_primes(m)
+    src = _source_vertex(m.quiver)
+    snk = 1 - src
+    dualize = m.dims[src] < m.dims[snk]
+    work = dual(m) if dualize else m
+
+    def sink_dim(vec):
+        """The sink dimension at which the enumeration of work reaches vec."""
+        return m.dims[src] - vec[src] if dualize else vec[snk]
+
+    # a certified vector is a rational subrep, and its saturated lattice
+    # reduces to a subrep mod every prime dividing no denominator; so the
+    # next prime runs only while a candidate is open, and only over the
+    # sink dimensions of the open candidates
+    witnesses: dict = {}
+    pending = None  # found over every prime so far and not yet certified
     for p in primes:
-        cands = _enum_two_vertex(work, p)
+        first = pending is None
+        sinks = None if first else sorted({sink_dim(vec) for vec in pending})
+        cands = _enum_two_vertex(work, p, sinks)
         if dualize:
             # a subrep of D m is the annihilator of a quotient of m, whose
             # kernel has the complementary dims on the swapped vertices
             cands = {(m.dims[0] - vec[1], m.dims[1] - vec[0]): w for vec, w in cands.items()}
-        per_prime.append((p, cands))
+        pending = set(cands) if first else pending & cands.keys()
+        witnesses.update(_two_vertex_witnesses(m, pending, [(p, cands)], dualize, joint=first))
+        pending -= witnesses.keys()
+        if not pending:
+            break
+    return SubrepScan(tuple(sorted(witnesses)), witnesses, tuple(sorted(pending)))
 
-    surviving = set.intersection(*(set(cands) for _, cands in per_prime))
-    witnesses = _two_vertex_witnesses(m, surviving, per_prime, dualize)
-    vectors = tuple(sorted(witnesses))
-    return SubrepScan(vectors, witnesses, tuple(sorted(surviving - set(witnesses))))
 
-
-def _two_vertex_witnesses(m: QuiverRep, surviving, per_prime, dualize: bool) -> dict:
-    """Rational witnesses for the surviving candidates, one basis per vertex.
+def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, joint: bool = True) -> dict:
+    """Rational witnesses for candidates, one basis per vertex.
 
     A subrep (U, W) gives every (u, e) with u <= dim U and dim W <= e: keep
     u rows of U and complete W with unit vectors.  So one exact source
@@ -491,21 +515,21 @@ def _two_vertex_witnesses(m: QuiverRep, surviving, per_prime, dualize: bool) -> 
     tried until every one is certified:
 
     - for each candidate still uncertified, the lift of its sink subspace
-      from one prime at a time, and U the largest subspace every arrow maps
-      into it (in the dualized scan, the annihilator of the lifted
-      functionals);
-    - then the blocks of each kernel vector of the joint map
+      from one prime of per_prime at a time, and U the largest subspace
+      every arrow maps into it (in the dualized scan, the annihilator of the
+      lifted functionals);
+    - then, with joint, the blocks of each kernel vector of the joint map
       (A_1 ... A_n): V_src^n -> V_snk, the kernel of the reflection at the
       sink (Bernstein, Gelfand and Ponomarev 1973), each independent prefix
       of them;
-    - then, for the transposed joint map, the largest U mapping into the
-      annihilator of each independent prefix of blocks.
+    - then, with joint, for the transposed joint map, the largest U mapping
+      into the annihilator of each independent prefix of blocks.
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
     narr = len(m.matrices)
     transposed = [[[mat[i][j] for i in range(d_snk)] for j in range(d_src)] for mat in m.matrices]
-    todo = sorted(surviving, key=lambda vec: (vec[1 - src], -vec[src]))
+    todo = sorted(candidates, key=lambda vec: (vec[1 - src], -vec[src]))
     witnesses = {}
 
     def preimage(ann):
@@ -532,10 +556,12 @@ def _two_vertex_witnesses(m: QuiverRep, surviving, per_prime, dualize: bool) -> 
                     yield _linalg.frac_kernel(lifted, d_src)
                 else:
                     yield preimage(_linalg.frac_kernel(lifted, d_snk))
-        joint = [[x for mat in m.matrices for x in mat[i]] for i in range(d_snk)]
-        yield from prefixes(_linalg.frac_kernel(joint, narr * d_src), d_src)
-        joint = [[x for t in transposed for x in t[j]] for j in range(d_src)]
-        for ann in prefixes(_linalg.frac_kernel(joint, narr * d_snk), d_snk):
+        if not joint:
+            return
+        joint_map = [[x for mat in m.matrices for x in mat[i]] for i in range(d_snk)]
+        yield from prefixes(_linalg.frac_kernel(joint_map, narr * d_src), d_src)
+        joint_map = [[x for t in transposed for x in t[j]] for j in range(d_src)]
+        for ann in prefixes(_linalg.frac_kernel(joint_map, narr * d_snk), d_snk):
             yield preimage(ann)
 
     for urows in sources():
@@ -666,11 +692,6 @@ def _charge_of(charge: CentralCharge, dims) -> GaussianRational:
     return charge.evaluate(tuple(int(x) for x in dims))
 
 
-def _charges(charge: CentralCharge, vecs) -> dict:
-    """The charge of each distinct vector, evaluated once."""
-    return {vec: _charge_of(charge, vec) for vec in dict.fromkeys(vecs)}
-
-
 def _check_stability_function(charge: CentralCharge, quiver: Quiver) -> None:
     if len(charge) != quiver.vertex_count:
         raise ValueError("charge length does not match the quiver")
@@ -693,24 +714,22 @@ def theta_test(m: QuiverRep, charge: CentralCharge, bound: int | None = None) ->
     p2 dims (2, 2), A = I, B = [[0, 2], [1, 0]] is stable at charge
     (-1, 1+i), scanning (0,0), (0,1), (0,2), (1,2), (2,2); over QQ(sqrt 2)
     the eigenvectors of B span a (1, 1) subrep of the same phase.
+
+    The witness is the first scanned proper vector of the largest phase,
+    compared by the integer form of PhaseOrder; no charge is evaluated.
     """
     _check_stability_function(charge, m.quiver)
     if m.is_zero():
         raise ValueError("the zero representation has no stability verdict")
     scan = subrep_dimvecs(m, bound)
-    t_m = PhaseToken(_charge_of(charge, m.dims), 0)
-    proper = [vec for vec in scan.vectors if any(vec) and vec != m.dims]
-    tokens = {vec: PhaseToken(z, 0) for vec, z in _charges(charge, proper).items()}
+    order = PhaseOrder.of(charge)
     worst = None
-    worst_cmp = -1
-    for vec in proper:
-        cmp = phase_compare(tokens[vec], t_m)
-        if worst is None or cmp > worst_cmp or (
-            cmp == worst_cmp and phase_compare(tokens[vec], tokens[worst]) > 0
-        ):
-            worst, worst_cmp = vec, cmp
+    for vec in scan.vectors:
+        if any(vec) and vec != m.dims and (worst is None or order.cross(vec, worst) < 0):
+            worst = vec
     if worst is None:
         return ThetaResult("stable", None, scan.uncertified)
+    worst_cmp = order.compare(worst, m.dims)
     if worst_cmp > 0:
         return ThetaResult("unstable", worst, scan.uncertified)
     if worst_cmp == 0:
@@ -778,12 +797,14 @@ def hn(
     edge.  The phase extractor takes the largest of them, the next vertex;
     the slope extractor joins all their witnesses, which gives the same
     subrep.  So the witnesses are nested, and each factor is the
-    subquotient of two consecutive ones.
+    subquotient of two consecutive ones.  Phases are compared by the
+    integer form of PhaseOrder; only each factor's token is evaluated.
     """
     _check_stability_function(charge, m.quiver)
     if m.is_zero():
         raise ValueError("the zero representation has no filtration")
     scan = subrep_dimvecs(m, bound)
+    order = PhaseOrder.of(charge)
     factors: list[tuple[QuiverRep, PhaseToken]] = []
     lower = tuple(() for _ in m.dims)
     while (low := sub_dims(lower)) != m.dims:
@@ -794,12 +815,12 @@ def hn(
         ]
         if not ahead:
             raise RuntimeError(f"no scanned subrepresentation lies ahead of {low}")
-        upper = _select_destabilizer(charge, ahead, extractor)
+        upper = _select_destabilizer(order, ahead, extractor)
         factor = _subquotient(m, lower, upper)
         factors.append((factor, PhaseToken(_charge_of(charge, factor.dims), 0)))
         lower = upper
-    for a, b in zip(factors, factors[1:]):
-        if phase_compare(a[1], b[1]) <= 0:
+    for (a, _), (b, _) in zip(factors, factors[1:]):
+        if order.cross(a.dims, b.dims) >= 0:
             raise RuntimeError("factor phases are not strictly decreasing")
     return factors
 
@@ -808,17 +829,15 @@ def sub_dims(bases) -> tuple[int, ...]:
     return tuple(len(b) for b in bases)
 
 
-def _select_destabilizer(charge, cands, extractor):
+def _select_destabilizer(order: PhaseOrder, cands, extractor):
     """The witness of the next vertex among (charge vector, witness) pairs."""
-    zs = _charges(charge, [vec for vec, _ in cands])
     if extractor == "phase":
-        tokens = {vec: PhaseToken(z, 0) for vec, z in zs.items()}
         best = None
         for vec, bases in cands:
             if best is None:
                 best = (vec, bases)
                 continue
-            c = phase_compare(tokens[vec], tokens[best[0]])
+            c = order.compare(vec, best[0])
             if c > 0 or (
                 c == 0
                 and (
@@ -831,8 +850,7 @@ def _select_destabilizer(charge, cands, extractor):
     if extractor == "slope":
         # maximal slope by exact cross products, then join every maximal witness
         def slope_greater(a, b):
-            za, zb = zs[a], zs[b]
-            return za.re * zb.im - za.im * zb.re < 0
+            return order.cross(a, b) < 0
         top = []
         for vec, bases in cands:
             if not top:

@@ -7,12 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabctl.klattice import (
     CentralCharge,
     EulerMatrix,
     GaussianRational,
     OracleBoundError,
+    PhaseOrder,
     PhaseToken,
     Quiver,
     charge_rank,
@@ -168,6 +171,52 @@ def test_central_charge_evaluate_matches_the_fold():
             assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
     with pytest.raises(ValueError, match="class length"):
         CentralCharge((gauss(1),)).evaluate((1, 2))
+
+
+_positive = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+# a value in H: a negative real ray or an upper half plane point
+_half_plane_value = st.one_of(
+    st.builds(lambda r: gauss(-r), _positive),
+    st.builds(gauss, st.fractions(min_value=-5, max_value=5, max_denominator=7), _positive),
+)
+
+
+@st.composite
+def _charge_and_vectors(draw):
+    k = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        values = [draw(_half_plane_value) for _ in range(k)]
+    else:
+        # collinear values: a rank-1 charge
+        ray = draw(_half_plane_value)
+        values = [ray * draw(_positive) for _ in range(k)]
+    vec = st.tuples(*[st.integers(0, 6)] * k).filter(any)
+    return CentralCharge(tuple(values)), draw(vec), draw(vec)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_charge_and_vectors())
+def test_phase_order_against_phase_compare(case):
+    charge, v, w = case
+    order = PhaseOrder.of(charge)
+    assert all(isinstance(c, int) for _, _, c in order.weights)
+    zv, zw = charge.evaluate(v), charge.evaluate(w)
+    want = phase_compare(PhaseToken(zv, 0), PhaseToken(zw, 0))
+    assert order.compare(v, w) == want
+    assert order.compare(w, v) == -want
+    cross = zv.re * zw.im - zv.im * zw.re
+    assert (order.cross(v, w) > 0) == (cross > 0) and (order.cross(v, w) == 0) == (cross == 0)
+
+
+def test_phase_order_fixtures():
+    # (-1, 1+i): the sink simple has phase 1/4, the source simple phase 1
+    order = PhaseOrder.of(CentralCharge((gauss(-1), gauss(1, 1))))
+    assert order.weights == ((0, 1, -1),)
+    assert order.compare((1, 0), (0, 1)) == 1 and order.compare((1, 1), (2, 2)) == 0
+    # cross products -1/6 and 1 scale by 6; the two real values have none
+    third = PhaseOrder.of(CentralCharge((gauss(Fraction(-1, 3)), gauss(0, Fraction(1, 2)), gauss(-2))))
+    assert third.weights == ((0, 1, -1), (1, 2, 6))
+    assert PhaseOrder.of(CentralCharge((gauss(0, 1),))).weights == ()
 
 
 def test_quiver_validation():

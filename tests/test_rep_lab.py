@@ -20,9 +20,11 @@ from stabctl import _linalg, pn_model, rep_lab
 from stabctl.klattice import (
     CentralCharge,
     OracleBoundError,
+    PhaseToken,
     Quiver,
     gauss,
     kronecker_quiver,
+    phase_compare,
 )
 
 
@@ -366,6 +368,96 @@ def test_two_vertex_scan_certifies_a_closed_set_of_candidates(m):
         assert e == m.dims[1] or (u, e + 1) in scan.vectors
 
 
+def _scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
+    """The scan with every chosen prime over every sink dimension: the
+    candidates found over all of them are then certified together."""
+    src = m.quiver.arrows[0][0]
+    dualize = m.dims[src] < m.dims[1 - src]
+    work = rep_lab.dual(m) if dualize else m
+    per_prime = []
+    for p in rep_lab._two_vertex_primes(m):
+        cands = rep_lab._enum_two_vertex(work, p)
+        if dualize:
+            cands = {(m.dims[0] - v[1], m.dims[1] - v[0]): w for v, w in cands.items()}
+        per_prime.append((p, cands))
+    surviving = set.intersection(*(set(cands) for _, cands in per_prime))
+    witnesses = rep_lab._two_vertex_witnesses(m, surviving, per_prime, dualize)
+    return rep_lab.SubrepScan(
+        tuple(sorted(witnesses)), witnesses, tuple(sorted(surviving - set(witnesses)))
+    )
+
+
+def _enumerated(monkeypatch) -> list:
+    calls = []
+    blocks = _linalg.subspace_blocks_mod_p
+
+    def counted(d, e, p):
+        calls.append((d, e, p))
+        return blocks(d, e, p)
+
+    monkeypatch.setattr(_linalg, "subspace_blocks_mod_p", counted)
+    return calls
+
+
+def test_scan_with_primes_on_demand_against_the_scan_over_every_prime(monkeypatch):
+    calls = _enumerated(monkeypatch)
+    rng = random.Random(60)
+    quivers = [kronecker_quiver(k) for k in (1, 2, 3, 4)] + [Quiver("q", 2, ((1, 0), (1, 0)))]
+    reps = [pn_model.s_rep(2, k) for k in range(-5, 6)]
+    while len(reps) < 120:
+        quiver = rng.choice(quivers)
+        snk = quiver.arrows[0][1]
+        dims = [rng.randint(0, 6), rng.randint(0, 6)]
+        dims[snk] = min(dims[snk], rng.randint(0, 3))
+        if not 0 < sum(dims) <= 8 or min(dims) > 3:
+            continue
+        # even entries vanish mod 2, so the later primes have work to do
+        entries = rng.choice(((-3, -2, -1, 0, 1, 2, 3), (-1, 0, 1), (-2, 0, 2), (-4, -2, 1, 2)))
+        mats = [
+            [[Fraction(rng.choice(entries)) for _ in range(dims[s])] for _ in range(dims[t])]
+            for s, t in quiver.arrows
+        ]
+        reps.append(rep_lab.make_rep(quiver, dims, mats))
+    later = 0
+    for m in reps:
+        calls.clear()
+        got = rep_lab._subrep_two_vertex(m)
+        later += len({p for _, _, p in calls}) > 1
+        want = _scan_over_every_prime(m)
+        assert set(got.vectors) | set(got.uncertified) == set(want.vectors) | set(want.uncertified), m
+        assert set(got.vectors) >= set(want.vectors) and not set(got.vectors) & set(got.uncertified)
+        for vec, wit in got.witnesses.items():
+            assert rep_lab._check_general_witness(m, vec, wit), (m, vec)
+    # a third of the scans need a later prime, so the comparison is not vacuous
+    assert later > 30
+
+
+def test_further_primes_run_only_for_open_candidates(monkeypatch):
+    calls = _enumerated(monkeypatch)
+    # every helix module of p2 up to |k| = 5 is decided over F_2 alone
+    for k in range(-5, 6):
+        scan = rep_lab._subrep_two_vertex(pn_model.s_rep(2, k))
+        assert scan.uncertified == ()
+    assert {p for _, _, p in calls} == {2}
+    # every arrow vanishes mod 2, so F_2 finds every (u, e); the false
+    # candidates (1, 0), (2, 0), (2, 1) have sink dims 0 and 1, and F_3,
+    # enumerating only those, drops them; no candidate is left for F_5
+    q = kronecker_quiver(2)
+    m = rep_lab.make_rep(q, (2, 2), [[[2, 0], [0, 2]], [[0, -2], [2, 0]]])
+    calls.clear()
+    scan = rep_lab._subrep_two_vertex(m)
+    assert scan.vectors == ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))
+    assert scan.uncertified == ()
+    assert set(calls) == {(2, 0, 2), (2, 1, 2), (2, 2, 2), (2, 0, 3), (2, 1, 3)}
+    # dims (1, 2) enumerate the dual, dims (2, 1): the false candidates
+    # (1, 0) and (1, 1) are the dual's sink dimension 1 - 1 = 0
+    m = rep_lab.make_rep(q, (1, 2), [[[2], [0]], [[0], [-2]]])
+    calls.clear()
+    scan = rep_lab._subrep_two_vertex(m)
+    assert scan.vectors == ((0, 0), (0, 1), (0, 2), (1, 2)) and scan.uncertified == ()
+    assert set(calls) == {(1, 0, 2), (1, 1, 2), (1, 0, 3)}
+
+
 def test_subrep_certification_ignores_the_hash_seed():
     # a certifier seeded from hash(m), which hashes the quiver name,
     # certifies (2, 2) of this representation under hash seed 0 but not 2
@@ -377,6 +469,10 @@ def test_subrep_certification_ignores_the_hash_seed():
             "    [[1, 1, 2], [-1, -1, -2], [2, 0, -2]], [[-1, 0, 0], [1, 1, 1], [1, -2, -2]]])",
             "scan = rep_lab.subrep_dimvecs(m, 12)",
             "print(scan.vectors, scan.uncertified)",
+            # a scan that needs F_3 for its false mod-2 candidates
+            "m = rep_lab.make_rep(kronecker_quiver(2), (2, 2), [[[2, 0], [0, 2]], [[0, -2], [2, 0]]])",
+            "scan = rep_lab.subrep_dimvecs(m, 12)",
+            "print(scan.vectors, scan.uncertified, scan.witnesses)",
         )
     )
     src = os.path.dirname(os.path.dirname(rep_lab.__file__))
@@ -678,6 +774,161 @@ def test_hn_extractors_agree_on_random_input():
         assert total == m.dims
     with pytest.raises(ValueError):
         rep_lab.hn(_random_rep(q, rng), charge, extractor="mass")
+
+
+def _theta_by_tokens(m, charge, bound=None):
+    """theta_test as it was, comparing evaluated GaussianRational tokens."""
+    scan = rep_lab.subrep_dimvecs(m, bound)
+    t_m = PhaseToken(charge.evaluate(m.dims), 0)
+    proper = [vec for vec in scan.vectors if any(vec) and vec != m.dims]
+    tokens = {vec: PhaseToken(charge.evaluate(vec), 0) for vec in proper}
+    worst, worst_cmp = None, -1
+    for vec in proper:
+        cmp = phase_compare(tokens[vec], t_m)
+        if worst is None or cmp > worst_cmp or (
+            cmp == worst_cmp and phase_compare(tokens[vec], tokens[worst]) > 0
+        ):
+            worst, worst_cmp = vec, cmp
+    if worst is None or worst_cmp < 0:
+        return rep_lab.ThetaResult("stable", None, scan.uncertified)
+    verdict = "unstable" if worst_cmp > 0 else "semistable-not-stable"
+    return rep_lab.ThetaResult(verdict, worst, scan.uncertified)
+
+
+def _hn_by_tokens(m, charge, bound, extractor):
+    """hn as it was, comparing evaluated GaussianRational tokens."""
+    scan = rep_lab.subrep_dimvecs(m, bound)
+    factors = []
+    lower = tuple(() for _ in m.dims)
+    while (low := rep_lab.sub_dims(lower)) != m.dims:
+        ahead = [
+            (tuple(a - b for a, b in zip(vec, low)), scan.witnesses[vec])
+            for vec in scan.vectors
+            if vec != low and all(a >= b for a, b in zip(vec, low))
+        ]
+        tokens = {vec: PhaseToken(charge.evaluate(vec), 0) for vec, _ in ahead}
+        if extractor == "phase":
+            best = ahead[0]
+            for vec, bases in ahead[1:]:
+                c = phase_compare(tokens[vec], tokens[best[0]])
+                size, best_size = sum(vec), sum(best[0])
+                if c > 0 or (c == 0 and (size > best_size or (size == best_size and vec < best[0]))):
+                    best = (vec, bases)
+            upper = best[1]
+        else:
+            top = []
+            for vec, bases in ahead:
+                if not top or phase_compare(tokens[vec], tokens[top[0][0]]) > 0:
+                    top = [(vec, bases)]
+                elif phase_compare(tokens[top[0][0]], tokens[vec]) <= 0:
+                    top.append((vec, bases))
+            upper = rep_lab._join_witnesses_from(top)
+        factor = rep_lab._subquotient(m, lower, upper)
+        factors.append((factor, PhaseToken(charge.evaluate(factor.dims), 0)))
+        lower = upper
+    for (_, a), (_, b) in zip(factors, factors[1:]):
+        assert phase_compare(a, b) > 0
+    return factors
+
+
+def _random_half_plane_charge(rng, k):
+    """Values in H with small denominators; sometimes negative real rays,
+    sometimes all on one ray."""
+    def value():
+        den = rng.choice((1, 2, 3, 4))
+        if rng.random() < 0.25:
+            return gauss(Fraction(-rng.randint(1, 5), den))
+        return gauss(Fraction(rng.randint(-5, 5), den), Fraction(rng.randint(1, 5), rng.choice((1, 2, 3))))
+
+    if rng.random() < 0.15:
+        ray = value()
+        return CentralCharge(tuple(ray * rng.randint(1, 3) for _ in range(k)))
+    return CentralCharge(tuple(value() for _ in range(k)))
+
+
+def test_theta_and_hn_against_the_token_route():
+    rng = random.Random(61)
+    quivers = [
+        kronecker_quiver(2),
+        kronecker_quiver(3),
+        Quiver("a3", 3, ((0, 1), (1, 2))),
+        Quiver("fork", 3, ((0, 2), (1, 2), (0, 2))),
+    ]
+    verdicts = Counter()
+    for quiver in quivers:
+        for _ in range(30):
+            m = _random_rep(quiver, rng, top=5 - quiver.vertex_count)
+            charge = _random_half_plane_charge(rng, quiver.vertex_count)
+            got = rep_lab.theta_test(m, charge, 12)
+            assert got == _theta_by_tokens(m, charge, 12), (quiver.name, m, charge)
+            verdicts[got.verdict] += 1
+            for extractor in ("phase", "slope"):
+                assert rep_lab.hn(m, charge, 12, extractor) == _hn_by_tokens(m, charge, 12, extractor)
+    assert min(verdicts.values()) >= 10 and len(verdicts) == 3, verdicts
+
+
+P3_3_6_SEED_3 = """rep p3 3 6
+0 -1 -1
+0 1 0
+0 -1 2
+2 0 -2
+2 1 1
+0 0 -2
+0 -2 2
+-2 -2 -1
+-2 2 0
+-1 -1 -2
+-2 0 -1
+2 -2 -2
+-2 2 1
+-1 -2 -1
+0 -2 2
+0 -2 2
+2 0 2
+-2 1 2
+"""
+P3_3_6_SEED_10 = """rep p3 3 6
+-2 0 -1
+-1 -2 -1
+-1 1 1
+-1 0 0
+0 -1 0
+2 -1 1
+-2 -1 -2
+1 1 -1
+1 -1 0
+-1 0 1
+-2 0 2
+0 2 -2
+2 -1 2
+-1 0 1
+-2 2 1
+-1 1 2
+-2 -2 2
+-1 0 -1
+"""
+
+
+@pytest.mark.parametrize(
+    "text, charge",
+    [
+        (P3_3_6_SEED_3, ((2, 2), (0, Fraction(1, 4)))),
+        (P3_3_6_SEED_10, ((1, Fraction(5, 4)), (Fraction(-3, 2), Fraction(9, 4)))),
+    ],
+    ids=["seed-3-item-20", "seed-10-item-68"],
+)
+def test_a_false_mod_2_candidate_certifies_a_p3_vector(text, charge):
+    # oracle-stream seeds 3 and 10: the first prime certifies all its
+    # candidates, and the lifted F_2 sink subspace of the false candidate
+    # (2, 4) gives a source subspace whose corner holds (2, 5), which the
+    # scan over every prime left uncertified; verdict and witness stay
+    m = rep_lab.parse_rep(text, kronecker_quiver(3))
+    charge = CentralCharge(tuple(gauss(*z) for z in charge))
+    result = rep_lab.theta_test(m, charge, 12)
+    assert result == rep_lab.ThetaResult("unstable", (0, 1), ())
+    scan = rep_lab.subrep_dimvecs(m, 12)
+    assert rep_lab._check_general_witness(m, (2, 5), scan.witnesses[(2, 5)])
+    assert _scan_over_every_prime(m).uncertified == ((2, 5),)
 
 
 def test_rep_text_round_trip():
