@@ -7,8 +7,13 @@ results are either certified over QQ afterwards or discarded.
 There is one exact elimination kernel, _fraction_free: Gauss-Jordan on the
 rows scaled to integers, with Bareiss's exact divisions keeping every entry
 an integer minor (Bareiss 1968).  Every exact rank, reduced row echelon
-form, kernel, solve, inverse and basis extension goes through it, and its
-results are returned as Fractions.
+form, kernel, solve, inverse and basis extension goes through it.  The
+callers read its integer rows and their common denominator and build a
+Fraction only for an entry they return, one shared Fraction(0) for every
+zero entry (Fractions are immutable).  Rows may be given as integers or
+Fractions, and a row may be given rescaled: the reduced row echelon form,
+so every kernel and span basis, is the same for any nonzero multiple of
+any row.
 
 There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
 stack (B, rows, cols), one row of every matrix per step.  mod_p_rank ranks
@@ -28,11 +33,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
 Row = list[Fraction]
 Matrix = list[Row]
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _entry(x: int, den: int) -> Fraction:
+    """x / den, with the shared zero; den = 1 takes Fraction's integer path."""
+    if not x:
+        return ZERO
+    return Fraction(x) if den == 1 else Fraction(x, den)
 
 
 def frac_matrix(rows) -> Matrix:
@@ -40,7 +56,7 @@ def frac_matrix(rows) -> Matrix:
 
 
 def frac_identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def frac_matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -62,7 +78,29 @@ def frac_matvec(a: Matrix, v: Row) -> Row:
     for row in a:
         den = math.lcm(*(row[k].denominator for k, _ in vnum))
         total = sum(row[k].numerator * (den // row[k].denominator) * x for k, x in vnum)
-        out.append(Fraction(total, den * vden))
+        out.append(_entry(total, den * vden))
+    return out
+
+
+def integer_multiple(mat) -> list[list[int]]:
+    """mat times the lcm of all its denominators, one scalar for the matrix."""
+    lcm = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (lcm // x.denominator) for x in row] for row in mat]
+
+
+def int_images(mats, rows) -> list[list[int]]:
+    """A v for each row v and each integer matrix A in turn, v made integer.
+
+    Each v is taken times the lcm of its own denominators, so each result
+    is the image times a nonzero scalar, as an integer row: the span of the
+    results, and so their RREF, kernel and span basis, is that of the
+    images.
+    """
+    out = []
+    for v in rows:
+        lcm = math.lcm(*(x.denominator for x in v))
+        v = [x.numerator * (lcm // x.denominator) for x in v]
+        out.extend([sum(map(mul, row, v)) for row in a] for a in mats)
     return out
 
 
@@ -107,7 +145,7 @@ def _fraction_free(rows) -> tuple[list[list[int]], list[int], int]:
 def frac_rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column list)."""
     m, pivots, den = _fraction_free(rows)
-    return [[Fraction(x, den) for x in row] for row in m], pivots
+    return [[_entry(x, den) for x in row] for row in m], pivots
 
 
 def frac_rank(rows: Matrix) -> int:
@@ -115,17 +153,37 @@ def frac_rank(rows: Matrix) -> int:
 
 
 def frac_kernel(rows: Matrix, ncols: int) -> Matrix:
-    """Basis of the right kernel, one vector per row."""
-    rref, pivots = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel, one vector per row.
+
+    Vector f has a 1 at free column f, minus the pivot rows' entries in
+    column f at the pivot columns, and zeros elsewhere; only the free
+    columns of the eliminated rows are read.
+    """
+    m, pivots, den = _fraction_free(rows)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for row, pc in zip(m, pivots):
+            v[pc] = _entry(-row[fc], den)
         basis.append(v)
     return basis
+
+
+def _solve(aug, n: int) -> tuple[list[int], Matrix | None]:
+    """Eliminate [A | B], A of n columns, once.
+
+    Returns A's pivot columns and the rows of X on them, the other rows of
+    X being zero; X is None when a pivot falls among B's columns, that is
+    when A X = B is inconsistent.
+    """
+    m, pivots, den = _fraction_free(aug)
+    if pivots and pivots[-1] >= n:
+        return [c for c in pivots if c < n], None
+    return pivots, [[_entry(x, den) for x in row[n:]] for row in m[: len(pivots)]]
 
 
 def frac_solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -137,16 +195,28 @@ def frac_solve(a: Matrix, b: Matrix) -> Matrix | None:
         return [[] for _ in b] if b else []
     n = len(a[0])
     k = len(b[0]) if b else 0
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    rref, pivots = frac_rref(aug)
-    for row in rref:
-        if all(x == 0 for x in row[:n]) and any(x != 0 for x in row[n:]):
-            return None
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for r, pc in enumerate([p for p in pivots if p < n]):
-        for j in range(k):
-            x[pc][j] = rref[r][n + j]
+    pivots, sol = _solve([[*ra, *rb] for ra, rb in zip(a, b)], n)
+    if sol is None:
+        return None
+    x = [[ZERO] * k for _ in range(n)]
+    for pc, row in zip(pivots, sol):
+        x[pc] = row
     return x
+
+
+def frac_coordinates(rows: Matrix, vectors: Matrix) -> tuple[list[int], Matrix | None]:
+    """The rows a greedy pass keeps, and the vectors' coordinates on them.
+
+    One elimination of the rows and then the vectors, all taken as columns.
+    Gauss-Jordan works left to right, so the pivots among the leading
+    columns are those of the rows alone: the indices of the rows that a
+    greedy pass in order keeps.  With the other rows' coefficients zero the
+    trailing columns solve for the coordinates on the kept rows, one row of
+    the result per kept row and one column per vector, as frac_solve would
+    on the kept rows alone.  The coordinates are None when a vector lies
+    outside the span of the rows.
+    """
+    return _solve([[*c] for c in zip(*rows, *vectors)], len(rows))
 
 
 def frac_inverse(a: Matrix) -> Matrix | None:
@@ -172,9 +242,9 @@ def span_and_complement(rows: Matrix, dim: int) -> tuple[Matrix, Matrix]:
     columns taken in reverse.
     """
     m, pivots, den = _fraction_free([r[::-1] for r in rows])
-    basis = [[Fraction(x, den) for x in reversed(row)] for row in reversed(m[: len(pivots)])]
+    basis = [[_entry(x, den) for x in reversed(row)] for row in reversed(m[: len(pivots)])]
     last = {dim - 1 - c for c in pivots}
-    units = [[Fraction(int(j == c)) for j in range(dim)] for c in range(dim) if c not in last]
+    units = [[ONE if j == c else ZERO for j in range(dim)] for c in range(dim) if c not in last]
     return basis, units
 
 
@@ -187,8 +257,9 @@ def extend_to_basis(vectors: Matrix, dim: int) -> Matrix:
 
 
 def row_space_basis(rows: Matrix) -> Matrix:
-    rref, pivots = frac_rref(rows)
-    return [rref[i] for i in range(len(pivots))]
+    """The nonzero rows of the reduced row echelon form."""
+    m, pivots, den = _fraction_free(rows)
+    return [[_entry(x, den) for x in row] for row in m[: len(pivots)]]
 
 
 def int_rank(rows) -> int:

@@ -524,18 +524,27 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, jo
       of them;
     - then, with joint, for the transposed joint map, the largest U mapping
       into the annihilator of each independent prefix of blocks.
+
+    A kernel or a span basis is the same for any nonzero multiple of any
+    input row, so the rows eliminated for U and for sum_a A_a U are integer
+    rows: each arrow matrix and its transpose times one scalar, the lcm of
+    all its denominators, and each functional or source row times the lcm
+    of its own.  One scalar per matrix keeps each image a multiple of the
+    true one; a scalar per row of a matrix would scale the coordinates of
+    its images unevenly and change their span.  The witness bases stay the
+    rational rows of U and the span basis.
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
     narr = len(m.matrices)
-    transposed = [[[mat[i][j] for i in range(d_snk)] for j in range(d_src)] for mat in m.matrices]
+    arrows = [_linalg.integer_multiple(mat) for mat in m.matrices]
+    transposed = [[[a[i][j] for i in range(d_snk)] for j in range(d_src)] for a in arrows]
     todo = sorted(candidates, key=lambda vec: (vec[1 - src], -vec[src]))
     witnesses = {}
 
     def preimage(ann):
         """The largest source subspace every arrow maps into the annihilator of ann."""
-        cond = [_linalg.frac_matvec(t, y) for y in ann for t in transposed]
-        return _linalg.frac_kernel(cond, d_src)
+        return _linalg.frac_kernel(_linalg.int_images(transposed, ann), d_src)
 
     def prefixes(rows, width):
         """Each independent prefix of the width-long blocks of each row."""
@@ -558,17 +567,17 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, jo
                     yield preimage(_linalg.frac_kernel(lifted, d_snk))
         if not joint:
             return
+        # the joint maps mix the arrows, so they keep the rational entries
         joint_map = [[x for mat in m.matrices for x in mat[i]] for i in range(d_snk)]
         yield from prefixes(_linalg.frac_kernel(joint_map, narr * d_src), d_src)
-        joint_map = [[x for t in transposed for x in t[j]] for j in range(d_src)]
+        joint_map = [[mat[i][j] for mat in m.matrices for i in range(d_snk)] for j in range(d_src)]
         for ann in prefixes(_linalg.frac_kernel(joint_map, narr * d_snk), d_snk):
             yield preimage(ann)
 
     for urows in sources():
         if not todo:
             break
-        img = [_linalg.frac_matvec(mat, r) for r in urows for mat in m.matrices]
-        span, units = _linalg.span_and_complement(img, d_snk)
+        span, units = _linalg.span_and_complement(_linalg.int_images(arrows, urows), d_snk)
         sink = span + units
         for vec in todo:
             u, e = vec[src], vec[1 - src]
@@ -745,30 +754,41 @@ def _subquotient(m: QuiverRep, lower, upper) -> QuiverRep:
     each arrow maps those rows into that basis of the target vertex; their
     coordinates past lower are the subquotient's matrix.  With lower empty
     this is the subrepresentation upper, and with upper all of m it is the
-    quotient m / lower.
+    quotient m / lower; with lower empty and upper the unit vectors at
+    every vertex it is m itself, returned as it is.
+
+    The vertices are taken sources first, and each takes one elimination
+    (frac_coordinates): the rows of lower and upper, then the images of
+    the arrows into it, as columns.  Its pivots among the rows give the
+    greedy pass, and its trailing columns the coordinates of the images.
     """
-    bases = []
-    for low, up in zip(lower, upper):
-        rows = [*low, *up]
-        # the greedy pass keeps the pivot columns of the rows taken as columns
-        pivots = _linalg.frac_rref([list(c) for c in zip(*rows)])[1] if rows else []
-        if pivots[: len(low)] != list(range(len(low))) or len(pivots) != len(up):
+    if not any(lower) and all(
+        [list(r) for r in up] == [[int(i == j) for j in range(d)] for i in range(d)]
+        for up, d in zip(upper, m.dims)
+    ):
+        return m
+    arrows = m.quiver.arrows
+    bases: list = [None] * len(m.dims)
+    mats: list = [None] * len(arrows)
+    for t in m.quiver.topological_order():
+        low, rows = lower[t], [*lower[t], *upper[t]]
+        into = [(idx, s) for idx, (s, target) in enumerate(arrows) if target == t]
+        imgs = [
+            [_linalg.frac_matvec(m.matrices[idx], r) for r in bases[s][len(lower[s]) :]]
+            for idx, s in into
+        ]
+        kept, coords = _linalg.frac_coordinates(rows, [v for block in imgs for v in block])
+        if kept[: len(low)] != list(range(len(low))) or len(kept) != len(upper[t]):
             raise RuntimeError("the witnesses of two HN vertices are not nested")
-        bases.append([rows[i] for i in pivots])
-    dims = tuple(len(b) - len(low) for b, low in zip(bases, lower))
-    mats = []
-    for amat, (s, t) in zip(m.matrices, m.quiver.arrows):
-        imgs = [_linalg.frac_matvec(amat, r) for r in bases[s][len(lower[s]) :]]
-        if not bases[t]:
-            if any(any(img) for img in imgs):
-                raise ValueError("witness is not a subrepresentation")
-            mats.append([])
-            continue
-        img_cols = [list(c) for c in zip(*imgs)] if imgs else [[] for _ in range(m.dims[t])]
-        sol = _linalg.frac_solve([list(c) for c in zip(*bases[t])], img_cols)
-        if sol is None:
+        if coords is None:
             raise ValueError("witness is not a subrepresentation")
-        mats.append(sol[len(lower[t]) :])
+        bases[t] = [rows[i] for i in kept]
+        coords = coords[len(low) :]
+        col = 0
+        for (idx, _), block in zip(into, imgs):
+            mats[idx] = [row[col : col + len(block)] for row in coords]
+            col += len(block)
+    dims = tuple(len(b) - len(low) for b, low in zip(bases, lower))
     return make_rep(m.quiver, dims, mats)
 
 

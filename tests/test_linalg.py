@@ -9,6 +9,7 @@ compared with a Gauss-Jordan in Fraction arithmetic.
 from __future__ import annotations
 
 import copy
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -230,7 +231,50 @@ def _rational_cases():
                 yield m
 
 
+def _reference_kernel(rows, ncols: int):
+    """The kernel read off the reference RREF, one vector per free column."""
+    ref, pivots = _reference_frac_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(int(c == fc)) for c in range(ncols)]
+            for r, pc in enumerate(pivots):
+                v[pc] = -ref[r][fc]
+            basis.append(v)
+    return basis
+
+
+def _all_fractions(rows) -> bool:
+    return all(isinstance(x, Fraction) for row in rows for x in row)
+
+
+def _check_solve(a, b, consistent: bool):
+    x = _linalg.frac_solve(a, b)
+    if not consistent:
+        assert x is None, (a, b)
+        return
+    n = len(a[0]) if a else 0
+    k = len(b[0]) if b else 0
+    assert len(x) == n and all(len(row) == k for row in x) and _all_fractions(x), (a, b)
+    for ra, rb in zip(a, b):
+        assert [sum((ra[i] * x[i][j] for i in range(n)), Fraction(0)) for j in range(k)] == rb
+    # the free variables are zero
+    pivots = _reference_frac_rref(a)[1]
+    assert all(not any(x[c]) for c in range(n) if c not in pivots), (a, b)
+
+
+def _rescaled(rows, rng: random.Random):
+    """Each row times its own nonzero rational."""
+    out = []
+    for row in rows:
+        f = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+        out.append([f * x for x in row])
+    return out
+
+
 def test_exact_kernel_matches_the_fraction_reference():
+    rng = random.Random(14)
+    inconsistent = 0
     for rows in _rational_cases():
         before = copy.deepcopy(rows)
         ref, ref_pivots = _reference_frac_rref(rows)
@@ -238,10 +282,39 @@ def test_exact_kernel_matches_the_fraction_reference():
         assert rows == before
         assert pivots == ref_pivots, rows
         assert rref == ref, rows
-        assert all(isinstance(x, Fraction) for row in rref for x in row)
+        assert _all_fractions(rref)
         assert _linalg.frac_rank(rows) == len(ref_pivots)
         assert _linalg.int_rank(rows) == len(ref_pivots)
+        assert _linalg.row_space_basis(rows) == ref[: len(ref_pivots)]
+        ncols = len(rows[0]) if rows else 0
+        kernel = _linalg.frac_kernel(rows, ncols)
+        assert kernel == _reference_kernel(rows, ncols), rows
+        assert _all_fractions(kernel)
         assert rows == before
+        # a rescaled row leaves the RREF, the kernel and the span basis alone
+        scaled = _rescaled(rows, rng)
+        assert _linalg.frac_rref(scaled) == (rref, pivots), rows
+        assert _linalg.frac_kernel(scaled, ncols) == kernel, rows
+        assert _linalg.row_space_basis(scaled) == ref[: len(ref_pivots)]
+        assert _linalg.span_and_complement(scaled, ncols) == _linalg.span_and_complement(rows, ncols)
+        if not rows or not ncols:
+            continue
+        # A X = B with B in the column space of A, then with one column outside
+        x = [[_rational(rng) for _ in range(2)] for _ in range(ncols)]
+        b = [[sum((r[i] * x[i][j] for i in range(ncols)), Fraction(0)) for j in range(2)] for r in rows]
+        _check_solve(rows, b, True)
+        _check_solve(rows, [[] for _ in rows], True)  # no right-hand columns
+        if len(ref_pivots) < len(rows):
+            # y A = 0 for y in the left kernel, so a column c with y c != 0,
+            # such as y itself, lies outside the column space
+            y = _reference_kernel([list(c) for c in zip(*rows)], len(rows))[0]
+            _check_solve(rows, [[*rb, yi] for rb, yi in zip(b, y)], False)
+            inconsistent += 1
+    assert inconsistent > 50
+    # A without columns: consistent exactly when B is zero
+    _check_solve([[], []], [[Fraction(0)], [Fraction(0)]], True)
+    _check_solve([[], []], [[Fraction(0)], [Fraction(1, 2)]], False)
+    assert _linalg.frac_solve([[], []], [[1], [0]]) is None
 
 
 def test_frac_matvec_matches_the_naive_sum():
@@ -256,6 +329,54 @@ def test_frac_matvec_matches_the_naive_sum():
             got = _linalg.frac_matvec(rows, v)
             assert got == [sum((row[k] * v[k] for k in range(cols)), Fraction(0)) for row in rows]
             assert all(isinstance(x, Fraction) for x in got)
+
+
+def test_integer_images_are_the_images_times_a_scalar():
+    rng = random.Random(15)
+    for rows in _rational_cases():
+        cols = len(rows[0]) if rows else 0
+        ints = _linalg.integer_multiple(rows)
+        assert all(type(x) is int for row in ints for x in row)
+        lcm = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+        assert ints == [[x * lcm for x in row] for row in rows]
+        vs = [[_rational(rng) for _ in range(cols)], [Fraction(0)] * cols]
+        got = _linalg.int_images([ints, ints[::-1]], vs)
+        assert len(got) == 4 and all(type(x) is int for row in got for x in row)
+        for img, (v, a) in zip(got, [(v, a) for v in vs for a in (ints, ints[::-1])]):
+            scale = math.lcm(*(x.denominator for x in v))
+            assert img == [x * scale for x in _linalg.frac_matvec(a, v)]
+
+
+def test_frac_coordinates_is_the_greedy_pass_and_the_coordinates_on_it():
+    rng = random.Random(16)
+    outside = 0
+    for rows in _rational_cases():
+        dim = len(rows[0]) if rows else 0
+        kept = []
+        for i, row in enumerate(rows):
+            if len(_reference_frac_rref([rows[j] for j in kept] + [row])[1]) > len(kept):
+                kept.append(i)
+        inside = [
+            [sum((rng.randint(-2, 2) * row[c] for row in rows), Fraction(0)) for c in range(dim)]
+            for _ in range(2)
+        ]
+        other = [_rational(rng) for _ in range(dim)]
+        for vectors in (inside, inside + [other], []):
+            got_kept, coords = _linalg.frac_coordinates(rows, vectors)
+            assert got_kept == kept, rows
+            spanned = len(_reference_frac_rref([rows[i] for i in kept] + vectors)[1]) == len(kept)
+            if not spanned:
+                assert coords is None
+                outside += 1
+                continue
+            assert len(coords) == len(kept) and _all_fractions(coords)
+            for j, v in enumerate(vectors):
+                combo = [
+                    sum((coords[r][j] * rows[i][c] for r, i in enumerate(kept)), Fraction(0))
+                    for c in range(dim)
+                ]
+                assert combo == v, (rows, v)
+    assert outside > 50
 
 
 def _greedy_extension(vectors, dim: int):

@@ -723,6 +723,10 @@ def test_subquotient_against_the_sub_and_quotient_constructions():
             m = _random_rep(quiver, rng, top=5 - quiver.vertex_count)
             none = tuple(() for _ in m.dims)
             whole = tuple(_linalg.frac_identity(d) for d in m.dims)
+            assert rep_lab._subquotient(m, none, whole) == m
+            # a full basis other than the unit vectors is a change of basis
+            flipped = tuple(rows[::-1] for rows in whole)
+            assert rep_lab._subquotient(m, none, flipped) == _sub_reference(m, flipped)
             for bases in rep_lab.subrep_dimvecs(m, 12).witnesses.values():
                 assert rep_lab._subquotient(m, none, bases) == _sub_reference(m, bases)
                 assert rep_lab._subquotient(m, bases, whole) == _quotient_reference(m, bases)
@@ -742,6 +746,70 @@ def test_subquotient_against_the_sub_and_quotient_constructions():
     wit = rep_lab.subrep_dimvecs(split).witnesses
     with pytest.raises(RuntimeError, match="not nested"):
         rep_lab._subquotient(split, wit[(1, 0)], wit[(0, 1)])
+
+
+def _proportional(row, other) -> bool:
+    """other is a nonzero multiple of row."""
+    k = next((i for i, x in enumerate(row) if x), None)
+    return k is not None and other[k] != 0 and [x * other[k] for x in row] == [y * row[k] for y in other]
+
+
+def test_scaling_each_arrow_by_its_own_scalar():
+    # (U, W) is a subrep of M exactly when it is one of M with arrow a
+    # scaled by lambda_a, so the scan and the HN factors carry over, the
+    # factors with arrow a times lambda_a.  Rows with other denominators
+    # make a scale per matrix row differ from one per matrix.  No
+    # denominator is divisible by 2, 3 or 5, so both scans enumerate over
+    # the same primes.
+    rng = random.Random(67)
+    scalars = (Fraction(1, 11), Fraction(13, 17), Fraction(-7, 19))
+    exact = rescaled = factors = 0
+    for n in (2, 3):
+        q = kronecker_quiver(n)
+        for _ in range(24):
+            dims = (rng.randint(1, 4), rng.randint(1, 4))
+            mats = [
+                [
+                    [Fraction(rng.randint(-3, 3), den) for _ in range(dims[0])]
+                    for den in (rng.choice((1, 1, 7, 11)) for _ in range(dims[1]))
+                ]
+                for _ in range(n)
+            ]
+            m = rep_lab.make_rep(q, dims, mats)
+            scaled = rep_lab.make_rep(
+                q, dims, [[[lam * x for x in row] for row in mat] for lam, mat in zip(scalars, mats)]
+            )
+            scan, got = rep_lab.subrep_dimvecs(m, 12), rep_lab.subrep_dimvecs(scaled, 12)
+            assert (got.vectors, got.uncertified) == (scan.vectors, scan.uncertified)
+            for vec, bases in scan.witnesses.items():
+                if got.witnesses[vec] == bases:
+                    exact += 1
+                    continue
+                # a kernel vector of (lambda_1 A_1 ... lambda_n A_n) has the
+                # blocks of one of (A_1 ... A_n) over lambda_a, up to one
+                # scalar: such source rows agree up to a scalar each
+                src = [got.witnesses[vec][0], bases[0]]
+                assert got.witnesses[vec][1] == bases[1], vec
+                assert len(src[0]) == len(src[1]) and all(map(_proportional, *src)), vec
+                rescaled += 1
+            none = ((), ())
+            for vec, bases in got.witnesses.items():
+                assert rep_lab._subquotient(scaled, none, bases).dims == vec
+            for _ in range(2):
+                charge = _random_half_plane_charge(rng, 2)
+                assert rep_lab.theta_test(scaled, charge, 12) == rep_lab.theta_test(m, charge, 12)
+                for extractor in ("phase", "slope"):
+                    want = rep_lab.hn(m, charge, 12, extractor)
+                    have = rep_lab.hn(scaled, charge, 12, extractor)
+                    assert [f.dims for f, _ in have] == [f.dims for f, _ in want]
+                    for (f, tok), (g, gtok) in zip(want, have):
+                        assert gtok == tok
+                        assert g.matrices == tuple(
+                            tuple(tuple(lam * x for x in row) for row in mat)
+                            for lam, mat in zip(scalars, f.matrices)
+                        )
+                        factors += 1
+    assert exact > 300 and rescaled > 0 and factors > 200
 
 
 def test_general_scan_with_an_empty_arrow_target():
