@@ -18,8 +18,11 @@ any row.
 There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
 stack (B, rows, cols), one row of every matrix per step.  mod_p_rank ranks
 a whole stack with it, which is how subspace enumeration ranks a block of
-up to CHUNK small matrices at once.  mod_p_rref, behind every other mod-p
-rank, kernel and inverse, takes the rows CHUNK at a time as a stack of one:
+up to CHUNK small matrices at once.  A single matrix is first peeled of its
+singleton rows and columns, each a pivot of its own (_peel), which ranks a
+sparse Hom system mostly without arithmetic.  mod_p_rref, behind every
+other mod-p rank, kernel and inverse, takes the rows CHUNK at a time as a
+stack of one:
 a float64 matrix product reduces the chunk against the basis found so far,
 the kernel eliminates the chunk, and a second product clears the basis on
 the new pivots (blocked elimination as in Dumas, Giorgi and Pernet,
@@ -367,15 +370,53 @@ def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return basis[order], sorted(pivots)
 
 
+def _peel(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """Peel the singleton rows and columns off a matrix reduced mod p.
+
+    A row with one nonzero entry puts a unit vector in the row space, so each
+    distinct column such rows hit adds one to the rank, and those rows and
+    columns go; a column with one nonzero entry does the same for the column
+    space and its row.  The rules repeat, after dropping the rows left zero,
+    until neither applies (the singleton rules of structured Gaussian
+    elimination: LaMacchia and Odlyzko, "Solving large sparse linear systems
+    over finite fields", CRYPTO 1990).  Returns (r, rest) with
+    rank(m) = r + rank(rest).
+    """
+    rank = 0
+    m = m[m.any(axis=1)]
+    while m.size:
+        nz = m != 0
+        single = nz.sum(axis=1) == 1
+        if single.any():
+            hit = nz[single].any(axis=0)
+            rows, cols = ~single, ~hit
+        else:
+            single = nz.sum(axis=0) == 1
+            if not single.any():
+                break
+            hit = nz[:, single].any(axis=1)
+            rows, cols = ~hit, ~single
+        rank += int(np.count_nonzero(hit))
+        m = m[np.ix_(rows, cols)]
+        m = m[m.any(axis=1)]
+    return rank, m
+
+
 def mod_p_rank(mat: np.ndarray, p: int):
     """Rank mod p of a matrix, or an array of ranks for a stack (B, rows, cols).
 
-    A stack is eliminated whole, without chunks, so it suits many small
+    A matrix has its singleton rows and columns peeled off first (_peel),
+    and only what is left goes to mod_p_rref; a sparse matrix, such as the
+    Hom system of two helix modules, is often ranked by peeling alone.  A
+    stack is eliminated whole, without chunks, so it suits many small
     matrices; it is transposed when that makes the rows, one step each, fewer.
     """
-    if np.ndim(mat) == 2:
-        return len(mod_p_rref(mat, p)[1])
-    m = np.array(mat, dtype=np.int64) % p
+    m = np.array(mat, dtype=np.int64)
+    m %= p  # in place: the Hom system of two helix modules can take tens of MB
+    if m.ndim == 2:
+        _check_prime(min(m.shape), p)
+        rank, rest = _peel(m)
+        return rank + len(mod_p_rref(rest, p)[1]) if rest.size else rank
     _check_prime(min(m.shape[1:]), p)
     if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)

@@ -32,6 +32,7 @@ token.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +89,19 @@ class QuiverRep:
             h = hash((self.quiver, self.dims, self.matrices))
             object.__setattr__(self, "_hash", h)
             return h
+
+    def _memo(self) -> dict:
+        """Per-instance results that depend only on the representation.
+
+        The dual ("dual"), the lcm of the denominators ("lcm") and the
+        entries mod each prime p (key p).  Like the hash they are kept on the
+        instance, outside the fields, so equality and hashing stay structural.
+        """
+        try:
+            return self._memos
+        except AttributeError:
+            object.__setattr__(self, "_memos", {})
+            return self._memos
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -216,29 +230,44 @@ def _system_rows(m: QuiverRep, n: QuiverRep):
     return rows, total, offs
 
 
-def _denominators(*reps: QuiverRep):
-    den = set()
-    for r in reps:
-        for mat in r.matrices:
-            for row in mat:
-                for x in row:
-                    den.add(x.denominator)
-    return den
-
-
-def _pick_prime(reps, primes=LARGE_PRIMES):
-    dens = _denominators(*reps)
-    for p in primes:
-        if all(d % p for d in dens):
-            yield p
-
-
 def _matrix_mod_p(mat, p: int) -> np.ndarray:
     """Fraction rows mod p, with one inverse per distinct denominator."""
     dens = {x.denominator for row in mat for x in row}
     inverse = {d: pow(d, p - 2, p) if d != 1 else 1 for d in dens}
     out = [[x.numerator * inverse[x.denominator] % p for x in row] for row in mat]
     return np.array(out, dtype=np.int64).reshape(len(mat), len(mat[0]) if mat else 0)
+
+
+def _denominator_lcm(m: QuiverRep) -> int:
+    """The lcm of the denominators of m's entries, kept on m.
+
+    A prime divides a denominator exactly when it divides this lcm.
+    """
+    memo = m._memo()
+    if "lcm" not in memo:
+        memo["lcm"] = math.lcm(*(x.denominator for mat in m.matrices for row in mat for x in row))
+    return memo["lcm"]
+
+
+def _arrows_mod_p(m: QuiverRep, p: int) -> list[np.ndarray]:
+    """m's arrow matrices mod p, for a prime dividing no denominator.
+
+    The entries are converted once per prime and kept on m as one
+    read-only array, which the matrices are views of.
+    """
+    if _denominator_lcm(m) % p == 0:
+        raise ValueError(f"p = {p} divides a denominator, so the rep has no reduction mod p")
+    memo = m._memo()
+    if p not in memo:
+        flat = _matrix_mod_p([[x for mat in m.matrices for row in mat for x in row]], p)[0]
+        flat.flags.writeable = False
+        memo[p] = flat
+    arrows, at = [], 0
+    for s, t in m.quiver.arrows:
+        size = m.dims[t] * m.dims[s]
+        arrows.append(memo[p][at : at + size].reshape(m.dims[t], m.dims[s]))
+        at += size
+    return arrows
 
 
 def _source_vertex(q: Quiver) -> int | None:
@@ -263,14 +292,10 @@ def _hom_mod_p_reduced(m: QuiverRep, n: QuiverRep, p: int) -> int:
     src = _source_vertex(m.quiver)
     snk = 1 - src
     narr = len(m.quiver.arrows)
-    sb = np.vstack([_matrix_mod_p(b, p) for b in n.matrices]).reshape(
-        narr * n.dims[snk], n.dims[src]
-    )
+    sb = np.vstack(_arrows_mod_p(n, p))
     y = _linalg.mod_p_kernel(sb.T, p)
     rank_sb = sb.shape[0] - y.shape[0]
-    a3 = np.stack([_matrix_mod_p(a, p) for a in m.matrices]).reshape(
-        narr, m.dims[snk], m.dims[src]
-    )
+    a3 = np.stack(_arrows_mod_p(m, p))
     y3 = y.reshape(y.shape[0], narr, n.dims[snk])
     # row (r, j), column (i, k): sum over a of Y[r, a, i] A_a[k, j]
     t = np.einsum("rai,akj->rjik", y3, a3) % p
@@ -293,7 +318,8 @@ def hom_ext(m: QuiverRep, n: QuiverRep, want_basis: bool = False) -> HomExt:
     With a basis the intertwiner system is solved exactly over the
     rationals.  Without one, a modular rank is tried for each large prime:
     rank mod p never exceeds the rank over QQ, so hom_p >= hom >= max(chi, 0)
-    and hom_p = max(chi, 0) certifies the answer.  When no prime
+    and hom_p = max(chi, 0) certifies the answer.  A prime dividing a
+    denominator of either representation is skipped.  When no prime
     certifies, the system is solved by exact elimination.  Parallel
     two-vertex quivers use the reduced sink system of _hom_mod_p_reduced,
     and since Hom(M, N) = Hom(DN, DM) with the same chi, the side with
@@ -314,13 +340,15 @@ def hom_ext(m: QuiverRep, n: QuiverRep, want_basis: bool = False) -> HomExt:
         return HomExt(len(kernel), len(kernel) - chi, basis, "exact")
 
     _, total = _unknown_layout(m, n)
-    solve, primes = _hom_mod_p_reduced, _pick_prime((m, n))
+    solve, primes = _hom_mod_p_reduced, LARGE_PRIMES
     if src is None:
         solve = _hom_mod_p_full
         rows_count = sum(n.dims[t] * m.dims[s] for s, t in m.quiver.arrows)
         if rows_count * total * min(rows_count, total) > 3_000_000_000:
             primes = ()
     for p in primes:
+        if _denominator_lcm(m) % p == 0 or _denominator_lcm(n) % p == 0:
+            continue
         hom_p = solve(m, n, p)
         if hom_p == max(chi, 0):
             return HomExt(hom_p, hom_p - chi, None, f"mod-{p}")
@@ -379,15 +407,21 @@ def dual(m: QuiverRep) -> QuiverRep:
 
     Dualizing reverses every arrow; swapping the two vertices turns them
     back into the original arrows, so the dual lives on the same quiver
-    with dims (d1, d0) and every matrix transposed.
+    with dims (d1, d0) and every matrix transposed.  The dual is kept on
+    m and m on it, so dual(dual(m)) is m.
     """
-    if _source_vertex(m.quiver) is None:
-        raise ValueError("dual needs two vertices joined by parallel arrows")
-    dims = (m.dims[1], m.dims[0])
-    mats = []
-    for mat, (_, t) in zip(m.matrices, m.quiver.arrows):
-        mats.append([[row[j] for row in mat] for j in range(dims[t])])
-    return make_rep(m.quiver, dims, mats)
+    memo = m._memo()
+    if "dual" not in memo:
+        if _source_vertex(m.quiver) is None:
+            raise ValueError("dual needs two vertices joined by parallel arrows")
+        dims = (m.dims[1], m.dims[0])
+        mats = []
+        for mat, (_, t) in zip(m.matrices, m.quiver.arrows):
+            mats.append([[row[j] for row in mat] for j in range(dims[t])])
+        d = make_rep(m.quiver, dims, mats)
+        memo["dual"] = d
+        d._memo()["dual"] = m
+    return memo["dual"]
 
 
 def _enum_two_vertex(m: QuiverRep, p: int, sinks=None):
@@ -403,7 +437,7 @@ def _enum_two_vertex(m: QuiverRep, p: int, sinks=None):
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
-    amats = np.stack([_matrix_mod_p(mat, p).reshape(d_snk, d_src) for mat in m.matrices])
+    amats = np.stack(_arrows_mod_p(m, p))
     found: dict[tuple[int, int], np.ndarray] = {}
     for e in range(d_snk + 1) if sinks is None else sinks:
         low = 0  # (u, e) is found for every u < low
@@ -456,10 +490,9 @@ def _two_vertex_primes(m: QuiverRep) -> list[int]:
     enum_side = min(m.dims)
     if _linalg.count_subspaces(enum_side, 2) > HARD_ENUM_BUDGET:
         raise OracleBoundError("subspace enumeration too large")
-    dens = _denominators(m)
     primes = []
     for p in ENUM_PRIMES + (7, 11, 13, 17, 19, 23):
-        if any(d % p == 0 for d in dens):
+        if _denominator_lcm(m) % p == 0:
             continue
         count = _linalg.count_subspaces(enum_side, p)
         if count <= PRIME_ENUM_BUDGET or (not primes and count <= HARD_ENUM_BUDGET):
@@ -547,11 +580,16 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, jo
         return _linalg.frac_kernel(_linalg.int_images(transposed, ann), d_src)
 
     def prefixes(rows, width):
-        """Each independent prefix of the width-long blocks of each row."""
+        """Each independent prefix of the width-long blocks of each row.
+
+        One elimination per row: the first k blocks are independent exactly
+        when a greedy pass keeps each of them.
+        """
         for row in rows:
             blocks = [row[a * width : (a + 1) * width] for a in range(narr)]
+            kept, _ = _linalg.frac_coordinates(blocks, [])
             for k in range(1, narr + 1):
-                if _linalg.frac_rank(blocks[:k]) < k:
+                if kept[:k] != list(range(k)):
                     break
                 yield blocks[:k]
 
@@ -591,13 +629,12 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, jo
 
 def _subrep_general(m: QuiverRep) -> SubrepScan:
     q = m.quiver
-    dens = _denominators(m)
     primes = []
     for p in ENUM_PRIMES:
         size = 1
         for d in m.dims:
             size *= _linalg.count_subspaces(d, p)
-        if (size <= PRIME_ENUM_BUDGET or p == 2) and all(x % p for x in dens):
+        if (size <= PRIME_ENUM_BUDGET or p == 2) and _denominator_lcm(m) % p:
             if size > HARD_ENUM_BUDGET:
                 raise OracleBoundError("subspace enumeration too large")
             primes.append(p)
@@ -606,10 +643,7 @@ def _subrep_general(m: QuiverRep) -> SubrepScan:
 
     per_prime = []
     for p in primes:
-        amats = [
-            _matrix_mod_p(mat, p).reshape(m.dims[t], m.dims[s])
-            for mat, (s, t) in zip(m.matrices, q.arrows)
-        ]
+        amats = _arrows_mod_p(m, p)
         lists = [list(_linalg.all_subspaces_mod_p(d, p)) for d in m.dims]
         found = {}
         def rec(v, chosen):
@@ -884,12 +918,15 @@ def _select_destabilizer(order: PhaseOrder, cands, extractor):
 
 
 def _join_witnesses_from(top):
+    """The join of the witnesses, one row space basis per vertex.
+
+    A row repeated across witnesses adds nothing to the span, so it is
+    eliminated once.
+    """
     nverts = len(top[0][1])
     joined = []
     for v in range(nverts):
-        rows = []
-        for _, bases in top:
-            rows.extend([list(r) for r in bases[v]])
+        rows = list(dict.fromkeys(r for _, bases in top for r in bases[v]))
         joined.append(
             tuple(tuple(r) for r in (_linalg.row_space_basis(rows) if rows else []))
         )

@@ -186,9 +186,11 @@ def suite_helix_law() -> SuiteResult:
     failures = []
     cases = 0
     # the diagonal, hom_ext(S, S) = (1, 0), is the rigidity check the build
-    # leaves to the reflection theorem.  n=3 reaches S_5 = D S_-4, whose self
-    # pair takes 0.23 s; S_-5 builds in 0.025 s, but its self pair takes 8-9 s
-    # and 420 MB (2 CPUs, Python 3.11), so it waits for a hom_ext budget
+    # leaves to the reflection theorem.  n=3 reaches S_5 = D S_-4.  S_-5
+    # builds in 0.025 s and its self pair takes about 0.5 s and 330 MB, but
+    # S_-5 -> S_5 takes about 3 s and 1.8 GB, spent building the dense einsum
+    # tensor of the reduced system (2 CPUs, Python 3.11), so the range stays
+    # at -4 until hom_ext has a budget
     for n, top in ((2, 4), (3, 5)):
         for i in range(-4, top + 1):
             for j in range(-4, top + 1):

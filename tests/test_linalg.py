@@ -16,6 +16,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabctl import _linalg
 
@@ -116,6 +118,95 @@ def test_mod_p_refuses_a_prime_too_large_for_float64():
     for fn in (_linalg.mod_p_rref, _linalg.mod_p_rank, _linalg.mod_p_kernel, _linalg.mod_p_inverse):
         with pytest.raises(ValueError, match="too large"):
             fn(m, 2**31 - 1)
+
+
+def _peel_case(rows, p: int, peeled: int, rest_shape: tuple[int, int]):
+    """Check the peel of rows against its expected split and the reference rank."""
+    m = np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0)
+    rank, rest = _linalg._peel(m % p)
+    assert (rank, rest.shape) == (peeled, rest_shape), rows
+    assert rank + len(_reference_rref(rest.tolist(), p)[1]) == len(_reference_rref(m.tolist(), p)[1])
+    assert _linalg.mod_p_rank(m, p) == len(_reference_rref(m.tolist(), p)[1])
+
+
+def test_peeling_splits_the_rank_exactly():
+    # singleton rows that share a column count once; the row left over
+    # then peels by its singleton columns
+    _peel_case([[0, 3, 0], [0, 5, 0], [1, 1, 1]], 7, 2, (0, 0))
+    # singleton columns that share a row count once; a dense 2x2 is left
+    _peel_case([[1, 1, 5, 7], [0, 0, 2, 3], [0, 0, 4, 1]], 11, 1, (2, 2))
+    _peel_case([[1, 1, 5, 7], [0, 0, 2, 3], [0, 0, 4, 6]], 11, 1, (2, 2))  # rest singular
+    # a bidiagonal chain: each peel exposes the next singleton row, and the
+    # transposed chain the next singleton column
+    chain = [[int(j in (i, i + 1)) for j in range(6)] for i in range(6)]
+    _peel_case(chain, 5, 6, (0, 0))
+    _peel_case([list(c) for c in zip(*chain)], 5, 6, (0, 0))
+    # zero rows and columns, and entries that vanish only mod p
+    _peel_case([[0, 0, 0], [0, 7, 0], [0, 0, 0]], 7, 0, (0, 3))
+    _peel_case([[0, 2, 0, 3], [0, 0, 0, 0], [0, 4, 0, 1]], 5, 0, (2, 4))
+    # a dense matrix does not peel
+    _peel_case([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 13, 0, (3, 3))
+    for shape in ((0, 4), (3, 0), (0, 0)):
+        m = np.zeros(shape, dtype=np.int64)
+        rank, rest = _linalg._peel(m)
+        assert rank == 0 and rest.size == 0
+        assert _linalg.mod_p_rank(m, 7) == 0
+
+
+def test_a_fully_peeled_matrix_needs_no_elimination(monkeypatch):
+    calls = []
+    rref = _linalg.mod_p_rref
+    monkeypatch.setattr(_linalg, "mod_p_rref", lambda mat, p: calls.append(mat.shape) or rref(mat, p))
+    rng = random.Random(12)
+    # a scaled permutation with extra entries below the diagonal of the
+    # permuted rows peels completely, one chain step at a time
+    n = 40
+    perm = rng.sample(range(n), n)
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        m[i, perm[i]] = rng.randrange(1, 10007)
+        for j in rng.sample(range(i), min(i, 2)):
+            m[i, perm[j]] = rng.randrange(10007)
+    assert _linalg.mod_p_rank(m, 10007) == n
+    assert calls == []
+    dense = np.array([[1, 2], [3, 5]], dtype=np.int64)
+    assert _linalg.mod_p_rank(dense, 10007) == 2
+    assert calls == [(2, 2)]
+
+
+def test_peeling_matches_the_reference_on_sparse_systems():
+    rng = random.Random(13)
+    for p in PRIMES:
+        for rows, cols in ((30, 12), (12, 30), (70, 70), (150, 40)):
+            for density in (0.03, 0.1, 0.3):
+                m = np.array(
+                    [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)],
+                    dtype=np.int64,
+                )
+                assert _linalg.mod_p_rank(m, p) == len(_reference_rref(m.tolist(), p)[1]), (p, rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(0, 5).flatmap(
+        lambda cols: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, 2, -1)), min_size=cols, max_size=cols), max_size=6)
+    ),
+)
+def test_peeled_rank_plus_the_rest_is_the_rank(p, rows):
+    m = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+    rank = len(_reference_rref(rows, p)[1])
+    peeled, rest = _linalg._peel(m % p)
+    assert peeled + len(_reference_rref(rest.tolist(), p)[1]) == rank
+    assert _linalg.mod_p_rank(m, p) == rank
+
+
+def test_a_prime_too_large_is_refused_before_peeling():
+    # the identity peels to nothing, but its products would not be exact
+    with pytest.raises(ValueError, match="too large"):
+        _linalg.mod_p_rank(np.eye(3, dtype=np.int64), 2**31 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        _linalg.mod_p_rank(np.array([[1, 0, 0, 0]], dtype=np.int64), 2**31 - 1)
 
 
 def _stack(rng: random.Random, count: int, rows: int, cols: int, p: int) -> np.ndarray:

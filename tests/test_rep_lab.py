@@ -1062,6 +1062,74 @@ def test_matrix_mod_p_and_the_rep_hash():
     assert b == a and repr(a) == repr(b)
 
 
+def test_dual_and_arrows_mod_p_are_kept_on_the_rep():
+    q = kronecker_quiver(3)
+    rng = random.Random(59)
+    a = _random_rep(q, rng, dims=(3, 2))
+    d = rep_lab.dual(a)
+    assert rep_lab.dual(d) is a and rep_lab.dual(a) is d
+    p = 10007
+    arrows = rep_lab._arrows_mod_p(a, p)
+    assert [x.tolist() for x in arrows] == [rep_lab._matrix_mod_p(mat, p).tolist() for mat in a.matrices]
+    assert rep_lab._arrows_mod_p(a, p)[0].base is arrows[0].base
+    assert not any(x.flags.writeable for x in arrows)
+    for dims, shape in (((0, 2), (2, 0)), ((3, 0), (0, 3))):
+        assert [x.shape for x in rep_lab._arrows_mod_p(_random_rep(q, rng, dims=dims), p)] == [shape] * 3
+    # what is kept on a rep leaves equality, hashing and the cache keys alone
+    b = rep_lab.make_rep(q, a.dims, a.matrices)
+    assert a == b and b == a and repr(a) == repr(b)
+    assert hash(a) == hash(b) == hash((a.quiver, a.dims, a.matrices))
+    assert rep_lab.dual(b) == d and rep_lab.dual(b) is not d
+    assert rep_lab.hom_ext(b, d) is rep_lab.hom_ext(a, rep_lab.dual(b))
+
+
+def _with_denominators(rep, dens):
+    """rep with entry (0, 0) of arrow k replaced by 1 / dens[k]."""
+    mats = [[list(row) for row in mat] for mat in rep.matrices]
+    for k, den in enumerate(dens):
+        mats[k][0][0] = Fraction(1, den)
+    return rep_lab.make_rep(rep.quiver, rep.dims, mats)
+
+
+def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    q = kronecker_quiver(2)
+    rng = random.Random(60)
+    tried = []
+    # a solver that never certifies, so every usable prime is tried
+    monkeypatch.setattr(rep_lab, "_hom_mod_p_reduced", lambda m, n, p: tried.append(p) or 10**6)
+    for dens in ((), (10007,), (10009, 10037), (10007 * 10009, 10037 * 10039), (3, 10039)):
+        a = _random_rep(q, rng, dims=(2, 3))
+        b = _with_denominators(_random_rep(q, rng, dims=(2, 3)), dens)
+        want = [
+            p
+            for p in rep_lab.LARGE_PRIMES
+            if all(x.denominator % p for r in (a, b) for mat in r.matrices for row in mat for x in row)
+        ]
+        tried.clear()
+        he = rep_lab.hom_ext(a, b)
+        assert tried == want, dens
+        assert he.method == "exact-fallback"
+        assert (he.hom, he.ext) == _hom_ext_by_elimination(a, b)
+        for p in set(rep_lab.LARGE_PRIMES) - set(want):
+            with pytest.raises(ValueError, match="divides a denominator"):
+                rep_lab._arrows_mod_p(b, p)
+    # the enumeration primes skip the same way
+    m = _with_denominators(_random_rep(q, rng, dims=(3, 3)), (6,))
+    assert rep_lab._two_vertex_primes(m) == [5, 7, 11]
+    assert rep_lab._two_vertex_primes(_random_rep(q, rng, dims=(3, 3))) == [2, 3, 5]
+
+
+def test_hom_ext_methods_on_the_helix_pairs():
+    # every pair of S(3, k), |k| <= 4, is certified by the first large prime;
+    # routing to the dual side reaches 28 pairs already in the cache
+    mods = {k: pn_model.helix_module(3, k)[0] for k in range(-4, 5)}
+    rep_lab.hom_ext.cache_clear()
+    methods = Counter(rep_lab.hom_ext(mods[i], mods[j]).method for i in mods for j in mods)
+    info = rep_lab.hom_ext.cache_info()
+    assert methods == {f"mod-{rep_lab.LARGE_PRIMES[0]}": 81}
+    assert (info.hits, info.misses) == (28, 89)
+
+
 def test_structural_helpers():
     q = kronecker_quiver(2)
     z = rep_lab.zero_rep(q)
