@@ -16,19 +16,15 @@ so every kernel and span basis, is the same for any nonzero multiple of
 any row.
 
 There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
-stack (B, rows, cols), one row of every matrix per step.  mod_p_rank ranks
-a whole stack with it, which is how subspace enumeration ranks a block of
-up to CHUNK small matrices at once.  A single matrix is first peeled of its
-singleton rows and columns, each a pivot of its own (_peel), which ranks a
-sparse Hom system mostly without arithmetic.  mod_p_rref, behind every
-other mod-p rank, kernel and inverse, takes the rows CHUNK at a time as a
-stack of one:
-a float64 matrix product reduces the chunk against the basis found so far,
-the kernel eliminates the chunk, and a second product clears the basis on
-the new pivots (blocked elimination as in Dumas, Giorgi and Pernet,
-"FFLAS-FFPACK", ACM TOMS 2008).  The products are exact because every
-operand lies in [0, p) and the inner dimension k obeys k (p - 1)^2 < 2^53;
-a prime too large for the matrix is refused with ValueError.
+stack (B, rows, cols), one row of every matrix per step, in int64.
+mod_p_rank ranks a whole stack with it, which is how subspace enumeration
+ranks a block of up to CHUNK small matrices at once.  A single matrix is
+first peeled of its singleton rows and columns, each a pivot of its own
+(_peel), which ranks a sparse Hom system mostly without arithmetic.
+mod_p_rref, behind every other mod-p rank, kernel and inverse, eliminates
+one matrix as a stack of one.  Every sum stays exact because the inner
+dimension k = min(rows, cols) obeys k (p - 1)^2 < 2^53; a prime too large
+for the matrix is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -280,15 +276,9 @@ def int_rank(rows) -> int:
 CHUNK = 64
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # entries lie in [0, p), so every partial sum is an integer below
-    # inner * (p - 1)**2 < 2**53 and the float64 product is exact
-    return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
-
-
 def _check_prime(inner: int, p: int) -> None:
     if inner and inner * (p - 1) ** 2 >= 2**53:
-        raise ValueError(f"p = {p} is too large for exact float64 products of inner size {inner}")
+        raise ValueError(f"p = {p} is too large for exact int64 elimination of inner size {inner}")
 
 
 def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
@@ -333,41 +323,16 @@ def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
 def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Nonzero rows of the reduced row echelon form mod p, with their pivots.
 
-    Returns (k x cols array, pivot column list) for a matrix of rank k.
-    Rows are taken CHUNK at a time: one product reduces a chunk against
-    the basis found so far, the chunk is eliminated on its own, and a
-    second product clears the basis on the chunk's new pivots.  The basis
-    is kept on its free columns only, since its pivot block is the identity.
+    Returns (k x cols array, pivot column list) for a matrix of rank k: the
+    matrix is eliminated as a stack of one and its pivot rows are read off
+    in pivot column order.
     """
     m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    _check_prime(min(rows, cols), p)
-    pivots: list[int] = []
-    free = np.arange(cols)
-    red = m[:0]
-    for start in range(0, rows, CHUNK):
-        chunk = m[start : start + CHUNK]
-        if pivots:
-            chunk = (chunk[:, free] - _matmul_mod(chunk[:, pivots], red, p)) % p
-        lead = _eliminate(chunk[None], p)[0]
-        # pivot rows by pivot column; zero rows, marked by lead == cols, sort last
-        order = np.argsort(lead)[: np.count_nonzero(lead < chunk.shape[1])]
-        chunk, new = chunk[order], lead[order].tolist()
-        if not pivots and start + CHUNK >= rows:
-            return chunk, new
-        if not new:
-            continue
-        red = (red - _matmul_mod(red[:, new], chunk, p)) % p
-        keep = np.ones(free.size, dtype=bool)
-        keep[new] = False
-        red = np.concatenate([red, chunk])[:, keep]
-        pivots += free[new].tolist()
-        free = free[keep]
-    basis = np.zeros((len(pivots), cols), dtype=np.int64)
-    basis[:, free] = red
-    basis[range(len(pivots)), pivots] = 1
-    order = np.argsort(pivots)
-    return basis[order], sorted(pivots)
+    _check_prime(min(m.shape), p)
+    lead = _eliminate(m[None], p)[0]
+    # pivot rows by pivot column; zero rows, marked by lead == cols, sort last
+    order = np.argsort(lead)[: np.count_nonzero(lead < m.shape[1])]
+    return m[order], lead[order].tolist()
 
 
 def _peel(m: np.ndarray) -> tuple[int, np.ndarray]:
@@ -408,8 +373,9 @@ def mod_p_rank(mat: np.ndarray, p: int):
     A matrix has its singleton rows and columns peeled off first (_peel),
     and only what is left goes to mod_p_rref; a sparse matrix, such as the
     Hom system of two helix modules, is often ranked by peeling alone.  A
-    stack is eliminated whole, without chunks, so it suits many small
-    matrices; it is transposed when that makes the rows, one step each, fewer.
+    stack is eliminated whole, one step for a row of every matrix at once,
+    so it suits many small matrices; it is transposed when that makes the
+    rows, one step each, fewer.
     """
     m = np.array(mat, dtype=np.int64)
     m %= p  # in place: the Hom system of two helix modules can take tens of MB

@@ -109,7 +109,7 @@ def tokens_from_data(data: dict) -> tuple[PhaseToken, ...]:
     return xc._field(
         "tokens",
         data["tokens"],
-        lambda ts: tuple(PhaseToken(GaussianRational.parse(t["z"]), int(t["w"])) for t in ts),
+        lambda ts: tuple(PhaseToken(GaussianRational.parse(t["z"]), xc._json_int(t["w"])) for t in ts),
     )
 
 

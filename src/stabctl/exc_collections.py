@@ -468,19 +468,33 @@ def _field(name: str, value, read):
         raise ValueError(f"malformed {name!r} field: {exc}") from None
 
 
+def _json_int(value) -> int:
+    """value when it is a JSON integer; a float, bool or string is refused, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _entry_from_data(e):
+    # the degree keys are strings, parsed by HomTable; the dimensions are integers
+    return None if e is None else {k: _json_int(d) for k, d in e.items()}
+
+
 def collection_from_data(data: dict, table: HomTable | None = None) -> ExcCollection:
     labels = _field("labels", data["labels"], list)
-    classes = _field("classes", data["classes"], lambda v: [tuple(int(x) for x in c) for c in v])
-    shifts = _field("shifts", data.get("shifts", [0] * len(labels)), lambda v: [int(x) for x in v])
+    classes = _field("classes", data["classes"], lambda v: [tuple(map(_json_int, c)) for c in v])
+    shifts = _field("shifts", data.get("shifts", [0] * len(labels)), lambda v: list(map(_json_int, v)))
     if table is None:
         # HomTable cleans each entry to int degrees and nonzero dimensions
         table = _field(
             "table",
             data.get("table") or {},
-            lambda t: HomTable(len(labels), {tuple(map(int, k.split(","))): e for k, e in t.items()}),
+            lambda t: HomTable(
+                len(labels), {tuple(map(int, k.split(","))): _entry_from_data(e) for k, e in t.items()}
+            ),
         )
     if data.get("euler") is not None:
-        euler = _field("euler", data["euler"], EulerMatrix)
+        euler = _field("euler", data["euler"], lambda v: EulerMatrix([list(map(_json_int, r)) for r in v]))
     else:
         euler = _derive_euler(classes, table)
     objects = [ExcObject(lab, cl, sh) for lab, cl, sh in zip(labels, classes, shifts)]

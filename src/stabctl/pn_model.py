@@ -218,8 +218,8 @@ class PnPoint:
 
 
 def point_from_data(data: dict) -> PnPoint:
-    n = xc._field("n", data["n"], int)
-    return PnPoint(n, xc._field("base", data["base"], int), tokens_from_data(data))
+    n = xc._field("n", data["n"], xc._json_int)
+    return PnPoint(n, xc._field("base", data["base"], xc._json_int), tokens_from_data(data))
 
 
 def chart_point(p: PnPoint) -> ChartPoint:

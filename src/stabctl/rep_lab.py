@@ -671,8 +671,9 @@ def _subrep_general(m: QuiverRep) -> SubrepScan:
             img = (us @ amat.T) % p2
             if ut.shape[0] == 0:
                 return not img.any()
+            # ut is an RREF basis from all_subspaces_mod_p, so its rank is its row count
             both = np.vstack([ut, img])
-            return _linalg.mod_p_rank(both, p2) == _linalg.mod_p_rank(ut, p2)
+            return _linalg.mod_p_rank(both, p2) == ut.shape[0]
         rec(0, [])
         per_prime.append((p, found))
 

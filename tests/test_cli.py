@@ -316,8 +316,43 @@ def _with(base: str, **fields) -> str:
         (["classify", "--collection", _with(UNKNOWN_PAIR, table=[1])], "table"),
         (["member", "--chart", "0", "--point", '{"n":[2],"base":0,"tokens":[]}'], "n"),
         (["member", "--chart", "0", "--point", SIGMA.replace('"base":0', '"base":null')], "base"),
+        (["member", "--chart", "0", "--point", _with(SIGMA, n=2.9)], "n"),
+        (["member", "--chart", "0", "--point", _with(SIGMA, n=True)], "n"),
+        (["member", "--chart", "0", "--point", SIGMA.replace('"base":0', '"base":0.5')], "base"),
+        (
+            ["member", "--chart", "0", "--point", _with(SIGMA, tokens=[{"z": "-1", "w": -1.8}, {"z": "1", "w": 0}])],
+            "tokens",
+        ),
+        (
+            ["member", "--chart", "0", "--point", _with(SIGMA, tokens=[{"z": "-1", "w": -1}, {"z": "1", "w": True}])],
+            "tokens",
+        ),
+        (["member", "--chart", "0", "--point", _with(SIGMA, tokens=[{"z": "-1", "w": "-1"}])], "tokens"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, classes=[[1.5, 0], [0, 1]])], "classes"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, shifts=[0, 0.5])], "shifts"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1": {"0": 2.7}})], "table"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, euler=[[1, 2.9], [0, 1]])], "euler"),
     ],
-    ids=["tokens-int", "tokens-ints", "z-int", "classes-int", "entry-int", "table-list", "n-list", "base-null"],
+    ids=[
+        "tokens-int",
+        "tokens-ints",
+        "z-int",
+        "classes-int",
+        "entry-int",
+        "table-list",
+        "n-list",
+        "base-null",
+        "n-float",
+        "n-bool",
+        "base-float",
+        "w-float",
+        "w-bool",
+        "w-string",
+        "class-float",
+        "shift-float",
+        "dim-float",
+        "euler-float",
+    ],
 )
 def test_badly_shaped_json_is_a_usage_error(capsys, argv, field):
     code, out, err = run(capsys, argv)

@@ -1,9 +1,10 @@
 """Exact and mod-p kernels against pure-Python Gauss-Jordan references.
 
-Row counts straddle the elimination chunk of 64 rows, so the blocked
-reductions and merges are compared with one pivot-at-a-time elimination
-that shares no code with the package.  The fraction-free exact kernel is
-compared with a Gauss-Jordan in Fraction arithmetic.
+Row counts run from 1 to 200, so the mod-p elimination, of one matrix
+and of a stack, is compared on small and large cases with one
+pivot-at-a-time elimination that shares no code with the package.  The
+fraction-free exact kernel is compared with a Gauss-Jordan in Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def test_peeled_rank_plus_the_rest_is_the_rank(p, rows):
 
 
 def test_a_prime_too_large_is_refused_before_peeling():
-    # the identity peels to nothing, but its products would not be exact
+    # the identity peels to nothing, but its elimination sums would not be exact
     with pytest.raises(ValueError, match="too large"):
         _linalg.mod_p_rank(np.eye(3, dtype=np.int64), 2**31 - 1)
     with pytest.raises(ValueError, match="too large"):

@@ -829,6 +829,20 @@ def test_general_scan_with_an_empty_arrow_target():
         assert [f.dims for f, _ in factors] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
+def test_the_witness_check_refuses_what_is_no_subrep():
+    # 0 -> 1 with A = [[1, 1], [0, 1]]: A e0 = e0 and A e1 = e0 + e1
+    q = Quiver("q", 2, ((0, 1),))
+    m = rep_lab.make_rep(q, (2, 2), [[[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]])
+    e0, e1 = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
+    check = rep_lab._check_general_witness
+    assert check(m, (1, 1), ([e0], [e0]))
+    assert check(m, (2, 2), ([e0, e1], [e0, e1]))
+    assert not check(m, (2, 2), ([e0, [2 * x for x in e0]], [e0, e1])), "dependent rows"
+    assert not check(m, (1, 1), ([e0], [e0, e1])), "more rows than the vector says"
+    assert not check(m, (1, 1), ([e1], [e0])), "A e1 leaves the target span"
+    assert not check(m, (1, 0), ([e0], [])), "A e0 is nonzero at an empty target"
+
+
 def test_hn_extractors_agree_on_random_input():
     rng = random.Random(53)
     q = kronecker_quiver(3)
