@@ -20,11 +20,12 @@ stack (B, rows, cols), one row of every matrix per step, in int64.
 mod_p_rank ranks a whole stack with it, which is how subspace enumeration
 ranks a block of up to CHUNK small matrices at once.  A single matrix is
 first peeled of its singleton rows and columns, each a pivot of its own
-(_peel), which ranks a sparse Hom system mostly without arithmetic.
-mod_p_rref, behind every other mod-p rank, kernel and inverse, eliminates
-one matrix as a stack of one.  Every sum stays exact because the inner
-dimension k = min(rows, cols) obeys k (p - 1)^2 < 2^53; a prime too large
-for the matrix is refused with ValueError.
+(_peel), which ranks a sparse Hom system mostly without arithmetic; what is
+left is ranked as a stack of one.  mod_p_rref, behind every mod-p kernel
+and inverse, eliminates one matrix as a stack of one.  Every sum stays
+exact because the inner dimension k = min(rows, cols) obeys
+k (p - 1)^2 < 2^53; a prime too large for the matrix is refused with
+ValueError.
 """
 
 from __future__ import annotations
@@ -371,22 +372,25 @@ def mod_p_rank(mat: np.ndarray, p: int):
     """Rank mod p of a matrix, or an array of ranks for a stack (B, rows, cols).
 
     A matrix has its singleton rows and columns peeled off first (_peel),
-    and only what is left goes to mod_p_rref; a sparse matrix, such as the
-    Hom system of two helix modules, is often ranked by peeling alone.  A
-    stack is eliminated whole, one step for a row of every matrix at once,
-    so it suits many small matrices; it is transposed when that makes the
-    rows, one step each, fewer.
+    and only what is left is eliminated, as a stack of one; a sparse matrix,
+    such as the Hom system of two helix modules, is often ranked by peeling
+    alone.  A stack is eliminated whole, one step for a row of every matrix
+    at once, so it suits many small matrices; it is transposed when that
+    makes the rows, one step each, fewer.
     """
     m = np.array(mat, dtype=np.int64)
     m %= p  # in place: the Hom system of two helix modules can take tens of MB
-    if m.ndim == 2:
-        _check_prime(min(m.shape), p)
-        rank, rest = _peel(m)
-        return rank + len(mod_p_rref(rest, p)[1]) if rest.size else rank
-    _check_prime(min(m.shape[1:]), p)
+    _check_prime(min(m.shape[-2:]), p)
+    single = m.ndim == 2
+    if single:
+        rank, m = _peel(m)
+        if not m.size:
+            return rank
+        m = m[None]
     if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)
-    return (_eliminate(m, p) < m.shape[2]).sum(axis=1)
+    ranks = (_eliminate(m, p) < m.shape[2]).sum(axis=1)
+    return rank + int(ranks[0]) if single else ranks
 
 
 def mod_p_kernel(mat: np.ndarray, p: int) -> np.ndarray:

@@ -15,10 +15,8 @@ from itertools import combinations
 
 from . import exc_collections as xc
 from .klattice import (
-    CentralCharge,
     GaussianRational,
     PhaseToken,
-    charge_rank,
     in_half_plane,
     phase_compare,
 )
@@ -83,19 +81,6 @@ def cone_system(c: xc.ExcCollection) -> InequalitySystem:
 class ChartPoint:
     collection: xc.ExcCollection
     tokens: tuple[PhaseToken, ...]
-
-    def charge_values(self) -> tuple[GaussianRational, ...]:
-        return tuple(t.charge_value() for t in self.tokens)
-
-    def rank(self) -> int:
-        return charge_rank(CentralCharge(self.charge_values()))
-
-    @property
-    def degenerate(self) -> bool:
-        return self.rank() == 1
-
-    def shift_vector(self) -> tuple[int, ...]:
-        return tuple(-t.winding for t in self.tokens)
 
     def to_data(self) -> dict:
         return tokens_to_data(self.tokens)
@@ -287,21 +272,4 @@ def metric_bound(p: ChartPoint, q: ChartPoint, witnesses=None) -> float:
             abs(min(pp) - min(qq)),
             abs(math.log(mass_p / mass_q)),
         )
-    return best
-
-
-def dual_norm(charge: CentralCharge, p: ChartPoint) -> Fraction:
-    """Squared sup-norm of a lattice charge against the normalized point.
-
-    Requires every token charge of the point to equal i; the value reported
-    is the largest squared modulus over the collection classes, exact.
-    """
-    eye = GaussianRational(Fraction(0), Fraction(1))
-    for t in p.tokens:
-        if t.z != eye:
-            raise ValueError("dual norm needs all point charges normalized to i")
-    best = Fraction(0)
-    for obj in p.collection.objects:
-        val = charge.evaluate(obj.kclass)
-        best = max(best, val.abs_sq())
     return best

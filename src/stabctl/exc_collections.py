@@ -374,43 +374,6 @@ def shift_objects(c: ExcCollection, p) -> ExcCollection:
 # -- serialization ---------------------------------------------------------
 
 
-def parse_hom_table(text: str, size: int) -> HomTable:
-    """Lines `hom i j k d` plus `unknown i j`; `#` starts a comment."""
-    entries: dict[tuple[int, int], dict[int, int] | None] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "hom" and len(parts) == 5:
-            i, j, k, d = (int(x) for x in parts[1:])
-            cur = entries.setdefault((i, j), {})
-            if cur is None:
-                raise ValueError(f"line {ln}: entry ({i},{j}) already unknown")
-            if k in cur:
-                raise ValueError(f"line {ln}: duplicate degree {k} for ({i},{j})")
-            cur[k] = d
-        elif parts[0] == "unknown" and len(parts) == 3:
-            i, j = int(parts[1]), int(parts[2])
-            if entries.get((i, j)):
-                raise ValueError(f"line {ln}: entry ({i},{j}) already has data")
-            entries[(i, j)] = None
-        else:
-            raise ValueError(f"line {ln}: cannot parse {raw!r}")
-    return HomTable(size, entries)
-
-
-def format_hom_table(table: HomTable) -> str:
-    lines = []
-    for (i, j), e in table.items():
-        if e is None:
-            lines.append(f"unknown {i} {j}")
-        else:
-            for k in sorted(e):
-                lines.append(f"hom {i} {j} {k} {e[k]}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def collection_to_data(c: ExcCollection) -> dict:
     table = {}
     for (i, j), e in c.table.items():

@@ -286,21 +286,6 @@ class PhaseOrder:
         return (c < 0) - (c > 0)
 
 
-def charge_rank(charge: CentralCharge) -> int:
-    """Rank of the charge as a real-linear map to the plane: 1 or 2.
-
-    All-zero charges are rejected.
-    """
-    vals = [v for v in charge.values]
-    if all(v.is_zero() for v in vals):
-        raise ValueError("zero central charge")
-    for a in range(len(vals)):
-        for b in range(a + 1, len(vals)):
-            if _cross(vals[a], vals[b]) != 0:
-                return 2
-    return 1
-
-
 # -- quivers and Euler forms ----------------------------------------------
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "PnPoint",
     "StablePairNotFound",
     "aut_shift",
-    "chart_point",
     "find_stable_pair",
     "fixed_basis_charge",
     "helix_module",
@@ -220,10 +219,6 @@ class PnPoint:
 def point_from_data(data: dict) -> PnPoint:
     n = xc._field("n", data["n"], xc._json_int)
     return PnPoint(n, xc._field("base", data["base"], xc._json_int), tokens_from_data(data))
-
-
-def chart_point(p: PnPoint) -> ChartPoint:
-    return ChartPoint(pn_collection(p.n, p.base), p.tokens)
 
 
 def sigma_minus1(n: int) -> PnPoint:

@@ -33,7 +33,6 @@ token.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -372,26 +371,6 @@ def _reshape_basis(vec, m: QuiverRep, n: QuiverRep, offs):
     return tuple(out)
 
 
-def generic_rep(quiver: Quiver, dims, seed: int) -> QuiverRep:
-    """Deterministic random representation; certified rigid when chi(d,d) = 1."""
-    dims = tuple(int(d) for d in dims)
-    chi = euler_pair(euler_matrix(quiver), dims, dims)
-    for attempt in range(40):
-        rng = random.Random(f"{seed}:{attempt}")
-        mats = []
-        for s, t in quiver.arrows:
-            mats.append(
-                [[rng.randint(-3, 3) for _ in range(dims[s])] for _ in range(dims[t])]
-            )
-        rep = make_rep(quiver, dims, mats)
-        if chi != 1:
-            return rep
-        he = hom_ext(rep, rep)
-        if he.hom == 1 and he.ext == 0:
-            return rep
-    raise RuntimeError(f"no rigid representation of {dims} found from seed {seed}")
-
-
 # -- subrepresentation enumeration ----------------------------------------
 
 
@@ -485,17 +464,22 @@ def _subrep_cached(m: QuiverRep, bound: int) -> SubrepScan:
     return _subrep_general(m)
 
 
-def _two_vertex_primes(m: QuiverRep) -> list[int]:
-    """Up to three enumeration primes for the smaller side of m, chosen up front."""
-    enum_side = min(m.dims)
-    if _linalg.count_subspaces(enum_side, 2) > HARD_ENUM_BUDGET:
+def _enum_primes(m: QuiverRep, count) -> list[int]:
+    """Up to three enumeration primes for m, chosen up front.
+
+    count(p) is the number of subspaces the scan enumerates over F_p.  A
+    prime dividing a denominator of m is skipped; the first prime taken may
+    enumerate up to HARD_ENUM_BUDGET subspaces, the others up to
+    PRIME_ENUM_BUDGET.
+    """
+    if count(2) > HARD_ENUM_BUDGET:
         raise OracleBoundError("subspace enumeration too large")
     primes = []
     for p in ENUM_PRIMES + (7, 11, 13, 17, 19, 23):
         if _denominator_lcm(m) % p == 0:
             continue
-        count = _linalg.count_subspaces(enum_side, p)
-        if count <= PRIME_ENUM_BUDGET or (not primes and count <= HARD_ENUM_BUDGET):
+        size = count(p)
+        if size <= PRIME_ENUM_BUDGET or (not primes and size <= HARD_ENUM_BUDGET):
             primes.append(p)
         if len(primes) >= 3:
             break
@@ -505,7 +489,7 @@ def _two_vertex_primes(m: QuiverRep) -> list[int]:
 
 
 def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
-    primes = _two_vertex_primes(m)
+    primes = _enum_primes(m, lambda p: _linalg.count_subspaces(min(m.dims), p))
     src = _source_vertex(m.quiver)
     snk = 1 - src
     dualize = m.dims[src] < m.dims[snk]
@@ -629,18 +613,7 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, jo
 
 def _subrep_general(m: QuiverRep) -> SubrepScan:
     q = m.quiver
-    primes = []
-    for p in ENUM_PRIMES:
-        size = 1
-        for d in m.dims:
-            size *= _linalg.count_subspaces(d, p)
-        if (size <= PRIME_ENUM_BUDGET or p == 2) and _denominator_lcm(m) % p:
-            if size > HARD_ENUM_BUDGET:
-                raise OracleBoundError("subspace enumeration too large")
-            primes.append(p)
-    if not primes:
-        raise OracleBoundError("no usable enumeration prime")
-
+    primes = _enum_primes(m, lambda p: math.prod(_linalg.count_subspaces(d, p) for d in m.dims))
     per_prime = []
     for p in primes:
         amats = _arrows_mod_p(m, p)

@@ -308,7 +308,7 @@ def _member_by_oracle(point: pn.PnPoint, k: int, bound: int = 12) -> bool:
 
 def _orbit_by_solver(point: pn.PnPoint) -> bool:
     ref = pn.sigma_minus1_presented(point.n, point.base)
-    return gl_action.orbit_solve(ref, pn.chart_point(point)) is not None
+    return gl_action.orbit_solve(ref, point) is not None
 
 
 def suite_overlap() -> SuiteResult:
@@ -345,6 +345,9 @@ def suite_overlap() -> SuiteResult:
 
 
 def suite_stable_pair() -> SuiteResult:
+    """The search finds the base chart, and the membership of every chart
+    within two of the base is the base alone or, in the reference orbit,
+    every chart, by the closed form and by the oracle alike."""
     start = time.perf_counter()
     failures = []
     cases = 0
@@ -352,6 +355,20 @@ def suite_stable_pair() -> SuiteResult:
         rng = random.Random(f"pair:{trial}")
         base = rng.randint(-2, 2)
         point = pn._sample_point(2, base, rng)
+        orbit = pn.in_O_minus1(point)
+        for h in range(base - 2, base + 3):
+            cases += 1
+            member = pn.theta_member(point, h)
+            if member != (h == base or orbit):
+                failures.append(
+                    f"trial={trial} chart {h}: member {member} with base {base} "
+                    f"and orbit {orbit} at {point.to_data()}"
+                )
+            if member != _member_by_oracle(point, h):
+                failures.append(
+                    f"trial={trial} chart {h}: member {member} disagrees with "
+                    f"the oracle at {point.to_data()}"
+                )
         cases += 1
         try:
             k = pn.find_stable_pair(point, window=20)

@@ -6,7 +6,7 @@ the verdicts are visible in a plain ``pytest -v`` run.
 
 from __future__ import annotations
 
-from stabctl import verify
+from stabctl import pn_model, verify
 
 
 def _run(capsys, number: int, name: str, budget: float) -> None:
@@ -46,6 +46,13 @@ def test_criterion_05_overlap(capsys):
 
 def test_criterion_06_stable_pair(capsys):
     _run(capsys, 6, "stable-pair", 300.0)
+
+
+def test_criterion_06_fails_when_every_chart_is_a_member(monkeypatch):
+    monkeypatch.setattr(pn_model, "theta_member", lambda point, k, bound=None: True)
+    result = verify.run_suite("stable-pair")
+    # each chart off the base outside the reference orbit fails both checks
+    assert len(result.failures) == 4448
 
 
 def test_criterion_07_triangle_fixture(capsys):

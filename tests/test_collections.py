@@ -255,13 +255,6 @@ def test_collection_serialization_round_trip():
     assert xc.collection_from_data(data) == full
 
 
-def test_hom_table_text_round_trip():
-    table = xc.HomTable(3, {(0, 1): {0: 3}, (1, 2): None, (0, 2): {}})
-    text = xc.format_hom_table(table)
-    back = xc.parse_hom_table(text, 3)
-    assert back == table
-
-
 # -- local-update constructions against their make_collection references --
 
 

@@ -18,7 +18,6 @@ from stabctl.klattice import (
     PhaseOrder,
     PhaseToken,
     Quiver,
-    charge_rank,
     euler_matrix,
     euler_pair,
     format_rational,
@@ -151,10 +150,6 @@ def test_central_charge():
     assert charge.evaluate((-1, 2)) == gauss(3, 2)
     assert len(charge) == 2
     assert charge[1] == gauss(1, 1)
-    assert charge_rank(charge) == 2
-    assert charge_rank(CentralCharge((gauss(0, 1), gauss(0, 2)))) == 1
-    with pytest.raises(ValueError):
-        charge_rank(CentralCharge((gauss(0), gauss(0))))
 
 
 def test_central_charge_evaluate_matches_the_fold():

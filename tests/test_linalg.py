@@ -155,9 +155,7 @@ def test_peeling_splits_the_rank_exactly():
 
 
 def test_a_fully_peeled_matrix_needs_no_elimination(monkeypatch):
-    calls = []
-    rref = _linalg.mod_p_rref
-    monkeypatch.setattr(_linalg, "mod_p_rref", lambda mat, p: calls.append(mat.shape) or rref(mat, p))
+    calls = _record_eliminations(monkeypatch)
     rng = random.Random(12)
     # a scaled permutation with extra entries below the diagonal of the
     # permuted rows peels completely, one chain step at a time
@@ -172,7 +170,25 @@ def test_a_fully_peeled_matrix_needs_no_elimination(monkeypatch):
     assert calls == []
     dense = np.array([[1, 2], [3, 5]], dtype=np.int64)
     assert _linalg.mod_p_rank(dense, 10007) == 2
-    assert calls == [(2, 2)]
+    assert calls == [(1, 2, 2)]
+
+
+def _record_eliminations(monkeypatch):
+    """Patch _eliminate to record the shape of every stack it is given."""
+    calls = []
+    eliminate = _linalg._eliminate
+    monkeypatch.setattr(_linalg, "_eliminate", lambda m, p: calls.append(m.shape) or eliminate(m, p))
+    return calls
+
+
+def test_a_tall_rest_is_eliminated_transposed(monkeypatch):
+    calls = _record_eliminations(monkeypatch)
+    rng = np.random.default_rng(5)
+    # 90 x 8 of rank 7: every column has many entries, so nothing peels
+    m = (rng.integers(1, 10007, (90, 7)) @ rng.integers(1, 10007, (7, 8))) % 10007
+    assert _linalg._peel(m)[0] == 0
+    assert _linalg.mod_p_rank(m, 10007) == _linalg.mod_p_rank(m[None], 10007)[0] == 7
+    assert calls == [(1, 8, 90), (1, 8, 90)]
 
 
 def test_peeling_matches_the_reference_on_sparse_systems():

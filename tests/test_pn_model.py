@@ -141,8 +141,6 @@ def test_reference_point_serialization():
         "tokens": [{"z": "-1", "w": -1}, {"z": "1+1i", "w": 0}],
     }
     assert pn_model.point_from_data(point.to_data()) == point
-    chart = pn_model.chart_point(point)
-    assert chart.tokens == point.tokens
 
 
 def test_point_validation():

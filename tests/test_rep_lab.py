@@ -190,8 +190,8 @@ def test_hom_ext_cross_quiver_rejection():
 def test_hom_ext_modular_path_matches_additivity():
     rng = random.Random(52)
     q = kronecker_quiver(2)
-    a = rep_lab.generic_rep(q, (4, 4), seed=1)
-    b = rep_lab.generic_rep(q, (4, 4), seed=2)
+    a = _random_rep(q, rng, dims=(4, 4))
+    b = _random_rep(q, rng, dims=(4, 4))
     c = _random_rep(q, rng, top=4)
     while c.dims != (4, 4):
         c = _random_rep(q, rng, top=4)
@@ -333,7 +333,7 @@ def test_enum_two_vertex_solves_no_kernel(monkeypatch):
     calls = []
     kernel = _linalg.mod_p_kernel
     monkeypatch.setattr(_linalg, "mod_p_kernel", lambda mat, p: calls.append(p) or kernel(mat, p))
-    for m, p in ((pn_model.s_rep(2, -5), 5), (rep_lab.generic_rep(kronecker_quiver(3), (4, 4), 2), 3)):
+    for m, p in ((pn_model.s_rep(2, -5), 5), (_random_rep(kronecker_quiver(3), random.Random(2), dims=(4, 4)), 3)):
         assert rep_lab._enum_two_vertex(m, p)
     assert calls == []
 
@@ -368,6 +368,12 @@ def test_two_vertex_scan_certifies_a_closed_set_of_candidates(m):
         assert e == m.dims[1] or (u, e + 1) in scan.vectors
 
 
+def _two_vertex_primes(m: rep_lab.QuiverRep) -> list[int]:
+    """The enumeration primes of a two-vertex scan, which enumerates the
+    subspaces of the smaller side."""
+    return rep_lab._enum_primes(m, lambda p: _linalg.count_subspaces(min(m.dims), p))
+
+
 def _scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
     """The scan with every chosen prime over every sink dimension: the
     candidates found over all of them are then certified together."""
@@ -375,7 +381,7 @@ def _scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
     dualize = m.dims[src] < m.dims[1 - src]
     work = rep_lab.dual(m) if dualize else m
     per_prime = []
-    for p in rep_lab._two_vertex_primes(m):
+    for p in _two_vertex_primes(m):
         cands = rep_lab._enum_two_vertex(work, p)
         if dualize:
             cands = {(m.dims[0] - v[1], m.dims[1] - v[0]): w for v, w in cands.items()}
@@ -500,8 +506,7 @@ def test_subrep_dimvecs_sees_rational_eigenvectors():
 
 
 def test_oracle_bound_enforcement():
-    q = kronecker_quiver(2)
-    big = rep_lab.generic_rep(q, (5, 4), seed=3)
+    big = pn_model.s_rep(2, -4)  # the exceptional module of dims (5, 4)
     assert rep_lab.DEFAULT_BOUND == 8
     with pytest.raises(OracleBoundError):
         rep_lab.subrep_dimvecs(big)
@@ -1055,12 +1060,6 @@ def test_frac_inverse():
         _linalg.frac_inverse(_linalg.frac_matrix([[1, 2, 3], [4, 5, 6]]))
 
 
-def test_generic_rep_is_deterministic():
-    q = kronecker_quiver(2)
-    assert rep_lab.generic_rep(q, (3, 2), seed=9) == rep_lab.generic_rep(q, (3, 2), seed=9)
-    assert rep_lab.generic_rep(q, (3, 2), seed=9) != rep_lab.generic_rep(q, (3, 2), seed=10)
-
-
 def test_matrix_mod_p_and_the_rep_hash():
     rng = random.Random(58)
     p = 10007
@@ -1129,8 +1128,23 @@ def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
                 rep_lab._arrows_mod_p(b, p)
     # the enumeration primes skip the same way
     m = _with_denominators(_random_rep(q, rng, dims=(3, 3)), (6,))
-    assert rep_lab._two_vertex_primes(m) == [5, 7, 11]
-    assert rep_lab._two_vertex_primes(_random_rep(q, rng, dims=(3, 3))) == [2, 3, 5]
+    assert _two_vertex_primes(m) == [5, 7, 11]
+    assert _two_vertex_primes(_random_rep(q, rng, dims=(3, 3))) == [2, 3, 5]
+
+
+def test_a_general_scan_takes_the_two_vertex_prime_rule(monkeypatch):
+    # with 2 dividing a denominator, the scan takes the next three primes,
+    # all within the budgets
+    chosen = []
+    enum_primes = rep_lab._enum_primes
+    monkeypatch.setattr(
+        rep_lab, "_enum_primes", lambda m, count: chosen.append(enum_primes(m, count)) or chosen[-1]
+    )
+    a3 = Quiver("a3", 3, ((0, 1), (1, 2)))
+    m = _with_denominators(_random_rep(a3, random.Random(61), dims=(2, 2, 2)), (2,))
+    scan = rep_lab._subrep_general(m)
+    assert chosen == [[3, 5, 7]]
+    assert (0, 0, 0) in scan.vectors and (2, 2, 2) in scan.vectors
 
 
 def test_hom_ext_methods_on_the_helix_pairs():
