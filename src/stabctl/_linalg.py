@@ -148,10 +148,6 @@ def frac_rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return [[_entry(x, den) for x in row] for row in m], pivots
 
 
-def frac_rank(rows: Matrix) -> int:
-    return len(_fraction_free(rows)[1])
-
-
 def frac_kernel(rows: Matrix, ncols: int) -> Matrix:
     """Basis of the right kernel, one vector per row.
 
@@ -263,11 +259,7 @@ def row_space_basis(rows: Matrix) -> Matrix:
 
 
 def int_rank(rows) -> int:
-    """Rank of an integer or rational matrix by fraction-free elimination.
-
-    The same kernel as frac_rank, kept as its own function so that
-    per-function timings count its calls apart.
-    """
+    """Rank of an integer or rational matrix by fraction-free elimination."""
     return len(_fraction_free(rows)[1])
 
 

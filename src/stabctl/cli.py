@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -61,9 +62,11 @@ def _parse_quiver(spec: str) -> Quiver:
         return kronecker_quiver(int(spec[1:]))
     head, _, arrow_part = spec.partition(";")
     arrows = []
-    for chunk in arrow_part.split(","):
-        s, _, t = chunk.partition(">")
-        arrows.append((int(s), int(t)))
+    for chunk in arrow_part.split(",") if arrow_part else ():
+        match = re.fullmatch(r"\s*(\d+)\s*>\s*(\d+)\s*", chunk)
+        if match is None:
+            raise ValueError(f"quiver arrow {chunk!r} is not S>T with integer vertices")
+        arrows.append((int(match[1]), int(match[2])))
     return Quiver("q", int(head), tuple(arrows))
 
 
@@ -135,7 +138,7 @@ def cmd_hn(args) -> int:
     quiver = _parse_quiver(args.quiver)
     rep = rep_lab.parse_rep(_read_source(args.rep, "rep "), quiver)
     charge = CentralCharge(_parse_charges(args.charge))
-    factors = rep_lab.hn(rep, charge, bound=args.oracle_bound, extractor=args.extractor)
+    factors = rep_lab.hn(rep, charge, bound=args.oracle_bound)
     _emit(
         {
             "factors": [
@@ -256,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hn", help="filtration of a representation")
     p.add_argument("--rep", required=True, help="rep text, inline or a file path")
     p.add_argument("--charge", required=True, metavar="Z0,Z1,...")
-    p.add_argument("--quiver", default="p2", help="pN or 'V;0>1,0>1,...'")
-    p.add_argument("--extractor", choices=("phase", "slope"), default="phase")
+    p.add_argument("--quiver", default="p2", help="pN, 'V;0>1,0>1,...' or V for no arrows")
     p.add_argument("--oracle-bound", type=int)
     p.set_defaults(func=cmd_hn)
 

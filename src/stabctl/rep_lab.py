@@ -6,15 +6,17 @@ two-term projective resolution, subrepresentation dimension vectors through
 modular enumeration with rational certification, and stability or
 Harder-Narasimhan data through exact phase comparison.
 
-On two vertices the certificates come from exact source subspaces alone,
-with no random draw: the largest subspace the arrows map into a lifted
-enumerated sink subspace, and the blocks of the kernels of the joint arrow
-map and of its transpose.  The certified vectors are closed under shrinking
-the source and growing the sink, since a subrepresentation (U, W) gives
-every (u, e) with u <= dim U and e >= dim W.  The first prime enumerates
-every sink dimension; a further prime runs only while a candidate is
-uncertified, over the sink dimensions of those candidates alone, since a
-certified vector survives reduction mod every prime.
+One subrepresentation scan serves every quiver (subrep_dimvecs): each
+quiver shape brings its subspace count, candidate step and certifier, and
+a further prime runs only toward the candidates still uncertified.  Quivers
+other than two vertices joined by parallel arrows lift the tuple of
+subspaces that reached each candidate.  On those two vertices the
+certificates come from exact source subspaces alone, with no random draw:
+the largest subspace the arrows map into a lifted enumerated sink
+subspace, and the blocks of the kernels of the joint arrow map and of its
+transpose.  The certified vectors are closed under shrinking the source
+and growing the sink, since a subrepresentation (U, W) gives every (u, e)
+with u <= dim U and e >= dim W.
 
 Hom dimensions follow one ladder at every size: a rank modulo each large
 prime, accepted when it meets the Euler bound hom >= max(chi, 0), and exact
@@ -438,30 +440,44 @@ def _enum_two_vertex(m: QuiverRep, p: int, sinks=None):
 def subrep_dimvecs(m: QuiverRep, bound: int | None = None) -> SubrepScan:
     """Dimension vectors of subrepresentations, certified over the rationals.
 
-    Candidates come from subspace enumeration over small finite fields
-    (intersected across fields); each candidate is kept only with an exact
-    witness.  On two vertices one exact source subspace certifies every
-    candidate under its corner at once (_two_vertex_witnesses), and a
-    further field is enumerated only at the sink dimensions of candidates
-    still uncertified: a certified vector is a rational subrep, so it
-    survives every field.  Other quivers lift each field's witness.
-    Uncertified leftovers are reported, never silently used.
+    A representation of total dimension over bound (DEFAULT_BOUND unless
+    given) is refused before any scan.  Each representation is scanned
+    once, by one loop for every quiver (_subrep_cached): candidates come
+    from subspace enumeration over small finite fields, and each is kept
+    only with an exact witness.  The first field enumerates every
+    candidate; a further field runs only while a candidate is uncertified,
+    follows only the uncertified candidates and drops those it does not
+    find, since a certified vector is a rational subrep and so survives
+    every field.  Uncertified leftovers are reported, never silently used.
     """
-    return _subrep_cached(m, bound if bound is not None else DEFAULT_BOUND)
+    bound = DEFAULT_BOUND if bound is None else bound
+    if m.total_dim() > bound:
+        raise OracleBoundError(f"total dimension {m.total_dim()} exceeds the oracle bound {bound}")
+    return _subrep_cached(m)
 
 
 @lru_cache(maxsize=2048)
-def _subrep_cached(m: QuiverRep, bound: int) -> SubrepScan:
-    if m.total_dim() > bound:
-        raise OracleBoundError(
-            f"total dimension {m.total_dim()} exceeds the oracle bound {bound}"
-        )
+def _subrep_cached(m: QuiverRep) -> SubrepScan:
     if m.is_zero():
         vec = tuple(m.dims)
         return SubrepScan((vec,), {vec: tuple(() for _ in m.dims)}, ())
-    if _source_vertex(m.quiver) is not None:
-        return _subrep_two_vertex(m)
-    return _subrep_general(m)
+    steps = _two_vertex_steps if _source_vertex(m.quiver) is not None else _general_steps
+    count, candidates, certify = steps(m)
+    # a certified vector is a rational subrep, and its saturated lattice
+    # reduces to a subrep mod every prime dividing no denominator; so the
+    # next prime runs only while a candidate is open, and only toward the
+    # open candidates
+    witnesses: dict = {}
+    pending = None  # found over every prime so far and not yet certified
+    for p in _enum_primes(m, count):
+        first = pending is None
+        cands = candidates(p, pending)
+        pending = set(cands) if first else pending & cands.keys()
+        witnesses.update(certify(pending, p, cands, first))
+        pending -= witnesses.keys()
+        if not pending:
+            break
+    return SubrepScan(tuple(sorted(witnesses)), witnesses, tuple(sorted(pending)))
 
 
 def _enum_primes(m: QuiverRep, count) -> list[int]:
@@ -488,37 +504,31 @@ def _enum_primes(m: QuiverRep, count) -> list[int]:
     return primes
 
 
-def _subrep_two_vertex(m: QuiverRep) -> SubrepScan:
-    primes = _enum_primes(m, lambda p: _linalg.count_subspaces(min(m.dims), p))
+def _two_vertex_steps(m: QuiverRep):
+    """Subspace count, candidate step and certifier of a two-vertex scan.
+
+    The sink subspaces of m are enumerated, or of its dual when the source
+    is smaller; only the first prime tries the joint-kernel sources.
+    """
     src = _source_vertex(m.quiver)
     snk = 1 - src
     dualize = m.dims[src] < m.dims[snk]
     work = dual(m) if dualize else m
 
-    def sink_dim(vec):
-        """The sink dimension at which the enumeration of work reaches vec."""
-        return m.dims[src] - vec[src] if dualize else vec[snk]
-
-    # a certified vector is a rational subrep, and its saturated lattice
-    # reduces to a subrep mod every prime dividing no denominator; so the
-    # next prime runs only while a candidate is open, and only over the
-    # sink dimensions of the open candidates
-    witnesses: dict = {}
-    pending = None  # found over every prime so far and not yet certified
-    for p in primes:
-        first = pending is None
-        sinks = None if first else sorted({sink_dim(vec) for vec in pending})
+    def candidates(p, pending):
+        # a further prime enumerates only where work reaches the open vectors
+        sinks = pending and sorted({m.dims[src] - vec[src] if dualize else vec[snk] for vec in pending})
         cands = _enum_two_vertex(work, p, sinks)
-        if dualize:
-            # a subrep of D m is the annihilator of a quotient of m, whose
-            # kernel has the complementary dims on the swapped vertices
-            cands = {(m.dims[0] - vec[1], m.dims[1] - vec[0]): w for vec, w in cands.items()}
-        pending = set(cands) if first else pending & cands.keys()
-        witnesses.update(_two_vertex_witnesses(m, pending, [(p, cands)], dualize, joint=first))
-        pending -= witnesses.keys()
-        if not pending:
-            break
-    return SubrepScan(tuple(sorted(witnesses)), witnesses, tuple(sorted(pending)))
+        if not dualize:
+            return cands
+        # a subrep of D m is the annihilator of a quotient of m, whose
+        # kernel has the complementary dims on the swapped vertices
+        return {(m.dims[0] - vec[1], m.dims[1] - vec[0]): w for vec, w in cands.items()}
+
+    def certify(pending, p, cands, first):
+        return _two_vertex_witnesses(m, pending, [(p, cands)], dualize, joint=first)
+
+    return lambda p: _linalg.count_subspaces(min(m.dims), p), candidates, certify
 
 
 def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, joint: bool = True) -> dict:
@@ -611,75 +621,62 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, jo
     return witnesses
 
 
-def _subrep_general(m: QuiverRep) -> SubrepScan:
-    q = m.quiver
-    primes = _enum_primes(m, lambda p: math.prod(_linalg.count_subspaces(d, p) for d in m.dims))
-    per_prime = []
-    for p in primes:
-        amats = _arrows_mod_p(m, p)
-        lists = [list(_linalg.all_subspaces_mod_p(d, p)) for d in m.dims]
-        found = {}
-        def rec(v, chosen):
-            if v == q.vertex_count:
-                vec = tuple(u.shape[0] for u in chosen)
-                if vec not in found:
-                    found[vec] = tuple(u.copy() for u in chosen)
-                return
-            for u in lists[v]:
-                ok = True
-                for idx, (s, t) in enumerate(q.arrows):
-                    if s != v and t != v:
-                        continue
-                    if s > v or t > v:
-                        continue
-                    us, ut = chosen[s] if s != v else u, chosen[t] if t != v else u
-                    if not _arrow_ok(us, ut, amats[idx], p):
-                        ok = False
-                        break
-                if ok:
-                    rec(v + 1, chosen + [u])
-        def _arrow_ok(us, ut, amat, p2):
-            if us.shape[0] == 0:
-                return True
-            img = (us @ amat.T) % p2
-            if ut.shape[0] == 0:
-                return not img.any()
-            # ut is an RREF basis from all_subspaces_mod_p, so its rank is its row count
-            both = np.vstack([ut, img])
-            return _linalg.mod_p_rank(both, p2) == ut.shape[0]
-        rec(0, [])
-        per_prime.append((p, found))
+def _general_steps(m: QuiverRep):
+    """Subspace count, candidate step and certifier of a scan on any quiver:
+    the tuples of _enum_general, each candidate certified by its lifted tuple."""
 
-    surviving = set(per_prime[0][1])
-    for _, found in per_prime[1:]:
-        surviving &= set(found)
+    def certify(pending, p, cands, first):
+        witnesses = {}
+        for vec in sorted(pending):
+            lifts = [_linalg.centered_lift(u, p).tolist() for u in cands[vec]]
+            wit = tuple(tuple(tuple(Fraction(x) for x in row) for row in u) for u in lifts)
+            if _check_general_witness(m, vec, wit):
+                witnesses[vec] = wit
+        return witnesses
 
-    witnesses = {}
-    uncertified = []
-    for vec in sorted(surviving):
-        wit = None
-        for p, found in per_prime:
-            if vec not in found:
+    return (
+        lambda p: math.prod(_linalg.count_subspaces(d, p) for d in m.dims),
+        lambda p, pending: _enum_general(m, p, pending),
+        certify,
+    )
+
+
+def _enum_general(m: QuiverRep, p: int, pending) -> dict:
+    """Candidate subrep dims mod p, each with the first tuple of subspaces reaching it.
+
+    A tuple takes one RREF basis per vertex, vertices in index order and
+    dimensions ascending, and keeps a basis when every arrow between its
+    vertex and an earlier one maps the source into the target.  With
+    pending, only tuples whose dims begin a pending vector are followed.
+    """
+    n, amats = len(m.dims), _arrows_mod_p(m, p)
+    # the arrows checked at each vertex: those whose later end it is
+    closing = [[(a, s, t) for a, (s, t) in enumerate(m.quiver.arrows) if max(s, t) == v] for v in range(n)]
+    heads = None if pending is None else {vec[:k] for vec in pending for k in range(1, n + 1)}
+    subspaces: dict = {}
+    found: dict = {}
+
+    def maps_into(us, ut, amat):
+        # ut is an RREF basis, so its rank is its row count
+        return us.shape[0] == 0 or _linalg.mod_p_rank(np.vstack([ut, us @ amat.T % p]), p) == ut.shape[0]
+
+    def rec(chosen, dims):
+        v = len(chosen)
+        if v == n:
+            found.setdefault(dims, tuple(chosen))
+            return
+        for e in range(m.dims[v] + 1):
+            if heads is not None and dims + (e,) not in heads:
                 continue
-            lifted = [
-                [[Fraction(int(x)) for x in row] for row in _linalg.centered_lift(u, p)]
-                for u in found[vec]
-            ]
-            if _check_general_witness(m, vec, lifted):
-                wit = tuple(tuple(tuple(r) for r in u) for u in lifted)
-                break
-        if wit is None and all(d in (0, m.dims[v]) for v, d in enumerate(vec)):
-            lifted = [
-                _linalg.frac_identity(m.dims[v]) if vec[v] == m.dims[v] else []
-                for v in range(q.vertex_count)
-            ]
-            if _check_general_witness(m, vec, lifted):
-                wit = tuple(tuple(tuple(r) for r in u) for u in lifted)
-        if wit is not None:
-            witnesses[vec] = wit
-        else:
-            uncertified.append(vec)
-    return SubrepScan(tuple(sorted(witnesses)), witnesses, tuple(sorted(uncertified)))
+            if (m.dims[v], e) not in subspaces:
+                subspaces[m.dims[v], e] = list(_linalg.subspaces_mod_p(m.dims[v], e, p))
+            for u in subspaces[m.dims[v], e]:
+                tup = chosen + [u]
+                if all(maps_into(tup[s], tup[t], amats[a]) for a, s, t in closing[v]):
+                    rec(tup, dims + (e,))
+
+    rec([], ())
+    return found
 
 
 def _check_general_witness(m: QuiverRep, vec, bases) -> bool:
@@ -687,17 +684,17 @@ def _check_general_witness(m: QuiverRep, vec, bases) -> bool:
         rows = [list(r) for r in bases[v]]
         if len(rows) != vec[v]:
             return False
-        if rows and _linalg.frac_rank(rows) != len(rows):
+        if rows and _linalg.int_rank(rows) != len(rows):
             return False
     for idx, (s, t) in enumerate(m.quiver.arrows):
         amat = [list(r) for r in m.matrices[idx]]
         target = [list(r) for r in bases[t]]
-        tr = _linalg.frac_rank(target) if target else 0
+        tr = _linalg.int_rank(target) if target else 0
         for r in bases[s]:
             img = _linalg.frac_matvec(amat, list(r)) if amat else []
             if not img:
                 continue
-            if _linalg.frac_rank(target + [img]) != tr:
+            if _linalg.int_rank(target + [img]) != tr:
                 return False
     return True
 

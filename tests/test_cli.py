@@ -187,6 +187,35 @@ def test_hn_on_a_path_quiver(capsys):
     assert [f["dims"] for f in json.loads(out)["factors"]] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
+@pytest.mark.parametrize(
+    "quiver, rep, charge, want",
+    [
+        ("2;", "rep q 1 1\n", "-1,1+1i", [[1, 0], [0, 1]]),
+        ("3", "rep q 1 1 1\n", "-1,1+1i,1i", [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    ],
+)
+def test_hn_on_a_quiver_without_arrows(capsys, quiver, rep, charge, want):
+    code, out, _ = run(capsys, ["hn", "--quiver", quiver, "--rep", rep, f"--charge={charge}"])
+    assert code == 0
+    assert [f["dims"] for f in json.loads(out)["factors"]] == want
+
+
+@pytest.mark.parametrize("chunk", ["x", "", "0-1", "0>1>0", "a>1"])
+def test_a_malformed_quiver_arrow_is_a_usage_error(capsys, chunk):
+    argv = ["hn", "--quiver", f"2;0>1,{chunk}", "--rep", "rep q 1 1\n1\n", "--charge=-1,1+1i"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: quiver arrow {chunk!r} is not S>T with integer vertices\n"
+
+
+def test_hn_takes_no_extractor_option(capsys):
+    # both extractors give the same factors, so the library alone offers the choice
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hn", "--rep", "rep p2 1 1\n0\n0\n", "--charge=-1,1+1i", "--extractor", "phase"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --extractor phase" in capsys.readouterr().err
+
+
 def test_an_hn_invariant_failure_is_no_input_error(monkeypatch):
     # two HN witnesses that are not nested are a fault of the oracle, which
     # must not read as bad input (exit 2)

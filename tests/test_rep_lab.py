@@ -9,7 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -427,7 +427,7 @@ def test_scan_with_primes_on_demand_against_the_scan_over_every_prime(monkeypatc
     later = 0
     for m in reps:
         calls.clear()
-        got = rep_lab._subrep_two_vertex(m)
+        got = rep_lab._subrep_cached.__wrapped__(m)
         later += len({p for _, _, p in calls}) > 1
         want = _scan_over_every_prime(m)
         assert set(got.vectors) | set(got.uncertified) == set(want.vectors) | set(want.uncertified), m
@@ -442,7 +442,7 @@ def test_further_primes_run_only_for_open_candidates(monkeypatch):
     calls = _enumerated(monkeypatch)
     # every helix module of p2 up to |k| = 5 is decided over F_2 alone
     for k in range(-5, 6):
-        scan = rep_lab._subrep_two_vertex(pn_model.s_rep(2, k))
+        scan = rep_lab._subrep_cached.__wrapped__(pn_model.s_rep(2, k))
         assert scan.uncertified == ()
     assert {p for _, _, p in calls} == {2}
     # every arrow vanishes mod 2, so F_2 finds every (u, e); the false
@@ -451,7 +451,7 @@ def test_further_primes_run_only_for_open_candidates(monkeypatch):
     q = kronecker_quiver(2)
     m = rep_lab.make_rep(q, (2, 2), [[[2, 0], [0, 2]], [[0, -2], [2, 0]]])
     calls.clear()
-    scan = rep_lab._subrep_two_vertex(m)
+    scan = rep_lab._subrep_cached.__wrapped__(m)
     assert scan.vectors == ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))
     assert scan.uncertified == ()
     assert set(calls) == {(2, 0, 2), (2, 1, 2), (2, 2, 2), (2, 0, 3), (2, 1, 3)}
@@ -459,7 +459,7 @@ def test_further_primes_run_only_for_open_candidates(monkeypatch):
     # (1, 0) and (1, 1) are the dual's sink dimension 1 - 1 = 0
     m = rep_lab.make_rep(q, (1, 2), [[[2], [0]], [[0], [-2]]])
     calls.clear()
-    scan = rep_lab._subrep_two_vertex(m)
+    scan = rep_lab._subrep_cached.__wrapped__(m)
     assert scan.vectors == ((0, 0), (0, 1), (0, 2), (1, 2)) and scan.uncertified == ()
     assert set(calls) == {(1, 0, 2), (1, 1, 2), (1, 0, 3)}
 
@@ -511,6 +511,22 @@ def test_oracle_bound_enforcement():
     with pytest.raises(OracleBoundError):
         rep_lab.subrep_dimvecs(big)
     assert rep_lab.subrep_dimvecs(big, 12).vectors
+
+
+def test_the_scan_is_cached_on_the_representation_alone():
+    # the bound only refuses: a second bound reads the first scan, and a
+    # refused representation is neither scanned nor cached
+    m = _random_rep(kronecker_quiver(2), random.Random(62), dims=(3, 3))
+    rep_lab._subrep_cached.cache_clear()
+    scan = rep_lab.subrep_dimvecs(m, 8)
+    assert rep_lab.subrep_dimvecs(m, 12) is scan
+    info = rep_lab._subrep_cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    rep_lab._subrep_cached.cache_clear()
+    with pytest.raises(OracleBoundError, match="exceeds the oracle bound 5"):
+        rep_lab.subrep_dimvecs(m, 5)
+    info = rep_lab._subrep_cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_theta_test_verdicts():
@@ -1142,9 +1158,102 @@ def test_a_general_scan_takes_the_two_vertex_prime_rule(monkeypatch):
     )
     a3 = Quiver("a3", 3, ((0, 1), (1, 2)))
     m = _with_denominators(_random_rep(a3, random.Random(61), dims=(2, 2, 2)), (2,))
-    scan = rep_lab._subrep_general(m)
+    scan = rep_lab._subrep_cached.__wrapped__(m)
     assert chosen == [[3, 5, 7]]
     assert (0, 0, 0) in scan.vectors and (2, 2, 2) in scan.vectors
+
+
+GENERAL_QUIVERS = (
+    Quiver("a3", 3, ((0, 1), (1, 2))),
+    Quiver("fork", 3, ((0, 2), (0, 2), (1, 2))),
+    Quiver("triangle", 3, ((0, 1), (0, 2), (1, 2))),
+)
+
+
+def _maps_into_mod_p(us, ut, amat, p) -> bool:
+    return _linalg.mod_p_rank(np.vstack([ut, us @ amat.T % p]), p) == ut.shape[0]
+
+
+def _general_scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
+    """The general scan with every chosen prime over every tuple of
+    subspaces: the vectors found over all of them are then certified one
+    by one, each by the lift of its first tuple at the first prime whose
+    lift is a subrep.  itertools.product takes the tuples in the order the
+    depth-first scan reaches them."""
+    per_prime = []
+    for p in rep_lab._enum_primes(m, lambda p: math.prod(_linalg.count_subspaces(d, p) for d in m.dims)):
+        amats = rep_lab._arrows_mod_p(m, p)
+        found = {}
+        for tup in product(*(list(_linalg.all_subspaces_mod_p(d, p)) for d in m.dims)):
+            if all(_maps_into_mod_p(tup[s], tup[t], a, p) for (s, t), a in zip(m.quiver.arrows, amats)):
+                found.setdefault(tuple(u.shape[0] for u in tup), tup)
+        per_prime.append((p, found))
+    surviving = set.intersection(*(set(found) for _, found in per_prime))
+    witnesses = {}
+    for vec in sorted(surviving):
+        for p, found in per_prime:
+            lifted = tuple(
+                tuple(tuple(Fraction(x) for x in row) for row in _linalg.centered_lift(u, p).tolist())
+                for u in found[vec]
+            )
+            if rep_lab._check_general_witness(m, vec, lifted):
+                witnesses[vec] = lifted
+                break
+    return rep_lab.SubrepScan(
+        tuple(sorted(witnesses)), witnesses, tuple(sorted(surviving - set(witnesses)))
+    )
+
+
+def test_general_scan_with_primes_on_demand_against_the_scan_over_every_prime(monkeypatch):
+    calls = _enumerated(monkeypatch)
+    rng = random.Random(63)
+    later = scans = 0
+    while scans < 60:
+        quiver = rng.choice(GENERAL_QUIVERS)
+        dims = tuple(rng.randint(0, 2) for _ in range(3))
+        if not any(dims):
+            continue
+        # even entries vanish mod 2, so the later primes have work to do
+        entries = rng.choice(((-3, -2, -1, 0, 1, 2, 3), (-1, 0, 1), (-2, 0, 2), (-4, -2, 1, 2)))
+        mats = [
+            [[Fraction(rng.choice(entries)) for _ in range(dims[s])] for _ in range(dims[t])]
+            for s, t in quiver.arrows
+        ]
+        m = rep_lab.make_rep(quiver, dims, mats)
+        calls.clear()
+        got = rep_lab._subrep_cached.__wrapped__(m)
+        later += len({p for _, _, p in calls}) > 1
+        scans += 1
+        assert got == _general_scan_over_every_prime(m), m
+    # a third of the scans need a later prime, so the comparison is not vacuous
+    assert later > scans / 3
+
+
+def test_a_general_scan_follows_a_later_prime_only_toward_open_vectors(monkeypatch):
+    steps = []
+    enum_general = rep_lab._enum_general
+
+    def recorded(m, p, pending):
+        found = enum_general(m, p, pending)
+        steps.append((p, pending and sorted(pending), sorted(found)))
+        return found
+
+    monkeypatch.setattr(rep_lab, "_enum_general", recorded)
+    a3 = Quiver("a3", 3, ((0, 1), (1, 2)))
+    subreps = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    # F_2 finds only true subreps, whose lifts certify them: one prime
+    scan = rep_lab._subrep_cached.__wrapped__(rep_lab.make_rep(a3, (1, 1, 1), [[[1]], [[1]]]))
+    assert (list(scan.vectors), scan.uncertified) == (subreps, ())
+    assert steps == [(2, None, subreps)]
+    # both arrows vanish mod 2 and mod 3, so F_2 finds all eight vectors and
+    # four stay open; F_3 follows only tuples toward those four and finds
+    # them again, and F_5 finds none of them
+    steps.clear()
+    scan = rep_lab._subrep_cached.__wrapped__(rep_lab.make_rep(a3, (1, 1, 1), [[[6]], [[6]]]))
+    assert (list(scan.vectors), scan.uncertified) == (subreps, ())
+    every = sorted(product((0, 1), repeat=3))
+    rest = sorted(set(every) - set(subreps))
+    assert steps == [(2, None, every), (3, rest, rest), (5, rest, [])]
 
 
 def test_hom_ext_methods_on_the_helix_pairs():
