@@ -184,6 +184,11 @@ def cmd_witness(args) -> int:
 def cmd_orbit(args) -> int:
     p = _load_point(args.point)
     q = _load_point(args.target)
+    if (p.n, p.base) != (q.n, q.base):
+        # orbit_solve compares tokens, which mean nothing across charts
+        raise ValueError(
+            f"orbit needs both points on one chart: n={p.n} base={p.base} and n={q.n} base={q.base}"
+        )
     g = gl_action.orbit_solve(p, q)
     if g is None:
         _emit({"related": False})

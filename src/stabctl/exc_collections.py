@@ -443,10 +443,20 @@ def _entry_from_data(e):
     return None if e is None else {k: _json_int(d) for k, d in e.items()}
 
 
+def _json_labels(value) -> list[str]:
+    """value when it is a JSON list of strings; a string is refused, not split into characters."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"{value!r} is not a list of strings")
+    return value
+
+
 def collection_from_data(data: dict, table: HomTable | None = None) -> ExcCollection:
-    labels = _field("labels", data["labels"], list)
+    labels = _field("labels", data["labels"], _json_labels)
     classes = _field("classes", data["classes"], lambda v: [tuple(map(_json_int, c)) for c in v])
     shifts = _field("shifts", data.get("shifts", [0] * len(labels)), lambda v: list(map(_json_int, v)))
+    for name, values in (("classes", classes), ("shifts", shifts)):
+        if len(values) != len(labels):
+            raise ValueError(f"malformed {name!r} field: {len(values)} entries for {len(labels)} labels")
     if table is None:
         # HomTable cleans each entry to int degrees and nonzero dimensions
         table = _field(

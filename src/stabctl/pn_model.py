@@ -421,6 +421,8 @@ def overlap_scan(
     """
     if k == h:
         raise ValueError("overlap needs two distinct chart indices")
+    if samples < 0:
+        raise ValueError(f"overlap needs a nonnegative sample count, not {samples}")
     counterexamples = []
     agree = 0
     for i in range(samples):

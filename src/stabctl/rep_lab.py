@@ -20,8 +20,7 @@ with u <= dim U and e >= dim W.
 
 Hom dimensions follow one ladder at every size: a rank modulo each large
 prime, accepted when it meets the Euler bound hom >= max(chi, 0), and exact
-elimination only when no prime certifies.  Hom bases are always solved
-exactly over the rationals.
+elimination of the same intertwiner system only when no prime certifies.
 
 Stability and Harder-Narasimhan data read one subrepresentation scan per
 representation: theta_test compares each scanned charge with Z(M), and hn
@@ -199,36 +198,34 @@ def parse_rep(text: str, quiver: Quiver) -> QuiverRep:
 class HomExt:
     hom: int
     ext: int
-    basis: tuple | None
     method: str
 
 
-def _unknown_layout(m: QuiverRep, n: QuiverRep):
-    offs = []
-    off = 0
-    for v in range(m.quiver.vertex_count):
-        offs.append(off)
-        off += n.dims[v] * m.dims[v]
-    return offs, off
+def _system(m: QuiverRep, n: QuiverRep, arrows_m, arrows_n) -> np.ndarray:
+    """The intertwiner matrix of Hom(m, n), from the arrow matrices of each side.
 
-
-def _system_rows(m: QuiverRep, n: QuiverRep):
-    """Intertwiner equations f_t A_a = B_a f_s, one row per (arrow, i, j)."""
-    q = m.quiver
-    offs, total = _unknown_layout(m, n)
-    rows = []
-    for idx, (s, t) in enumerate(q.arrows):
-        amat = m.matrices[idx]
-        bmat = n.matrices[idx]
+    Its kernel is Hom(m, n) in the standard resolution, the map
+    sum_v Hom(m_v, n_v) -> sum_a Hom(m_s, n_t) (Ringel, LNM 1099, 1984).
+    The unknowns are the entries of each f_v, row by row; arrow a: s -> t
+    gives the rows (i, j) of f_t A_a - B_a f_s, that is the blocks
+    I (x) A_a^T at the columns of f_t and -(B_a (x) I) at those of f_s,
+    placed by slices, since np.kron would multiply every entry.  The arrows
+    are int64 arrays for a system mod p, or object arrays of Fractions for
+    an exact one.
+    """
+    offs = np.cumsum([0, *(a * b for a, b in zip(m.dims, n.dims))]).tolist()
+    row_counts = [n.dims[t] * m.dims[s] for s, t in m.quiver.arrows]
+    dtype = np.result_type(np.int64, *arrows_m, *arrows_n)
+    system = np.zeros((sum(row_counts), offs[-1]), dtype=dtype)
+    r = 0
+    for (s, t), a, b, rows in zip(m.quiver.arrows, arrows_m, arrows_n, row_counts):
+        ms, mt = m.dims[s], m.dims[t]
         for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
-                row = [Fraction(0)] * total
-                for k in range(m.dims[t]):
-                    row[offs[t] + i * m.dims[t] + k] += amat[k][j]
-                for k in range(n.dims[s]):
-                    row[offs[s] + k * m.dims[s] + j] -= bmat[i][k]
-                rows.append(row)
-    return rows, total, offs
+            system[r + i * ms : r + (i + 1) * ms, offs[t] + i * mt : offs[t] + (i + 1) * mt] = a.T
+        for j in range(ms):
+            system[r + j : r + rows : ms, offs[s] + j : offs[s + 1] : ms] = -b
+        r += rows
+    return system
 
 
 def _matrix_mod_p(mat, p: int) -> np.ndarray:
@@ -306,45 +303,36 @@ def _hom_mod_p_reduced(m: QuiverRep, n: QuiverRep, p: int) -> int:
 
 
 def _hom_mod_p_full(m: QuiverRep, n: QuiverRep, p: int) -> int:
-    rows, total, _ = _system_rows(m, n)
-    if not rows:
-        return total
-    return total - _linalg.mod_p_rank(_matrix_mod_p(rows, p), p)
+    system = _system(m, n, _arrows_mod_p(m, p), _arrows_mod_p(n, p))
+    return system.shape[1] - _linalg.mod_p_rank(system, p)
 
 
 @lru_cache(maxsize=4096)
-def hom_ext(m: QuiverRep, n: QuiverRep, want_basis: bool = False) -> HomExt:
+def hom_ext(m: QuiverRep, n: QuiverRep) -> HomExt:
     """Hom and Ext dimensions between representations of one acyclic quiver.
 
-    With a basis the intertwiner system is solved exactly over the
-    rationals.  Without one, a modular rank is tried for each large prime:
-    rank mod p never exceeds the rank over QQ, so hom_p >= hom >= max(chi, 0)
-    and hom_p = max(chi, 0) certifies the answer.  A prime dividing a
-    denominator of either representation is skipped.  When no prime
-    certifies, the system is solved by exact elimination.  Parallel
+    A modular rank is tried for each large prime: rank mod p never exceeds
+    the rank over QQ, so hom_p >= hom >= max(chi, 0) and hom_p = max(chi, 0)
+    certifies the answer.  A prime dividing a denominator of either
+    representation is skipped.  When no prime certifies, the intertwiner
+    system (_system) is ranked exactly over the rationals.  Parallel
     two-vertex quivers use the reduced sink system of _hom_mod_p_reduced,
     and since Hom(M, N) = Hom(DN, DM) with the same chi, the side with
-    fewer sink unknowns is solved; other quivers use the full system.
+    fewer sink unknowns is solved; other quivers rank the whole intertwiner
+    system mod p.
     """
     if m.quiver != n.quiver:
         raise ValueError("representations live on different quivers")
     src = _source_vertex(m.quiver)
-    if not want_basis and src is not None:
-        if m.dims[src] * n.dims[src] < m.dims[1 - src] * n.dims[1 - src]:
-            return hom_ext(dual(n), dual(m))
+    if src is not None and m.dims[src] * n.dims[src] < m.dims[1 - src] * n.dims[1 - src]:
+        return hom_ext(dual(n), dual(m))
     chi = euler_pair(euler_matrix(m.quiver), m.dims, n.dims)
-
-    if want_basis:
-        rows, total, offs = _system_rows(m, n)
-        kernel = _linalg.frac_kernel(rows, total) if rows else _linalg.frac_identity(total)
-        basis = tuple(_reshape_basis(v, m, n, offs) for v in kernel)
-        return HomExt(len(kernel), len(kernel) - chi, basis, "exact")
-
-    _, total = _unknown_layout(m, n)
+    arrows = m.quiver.arrows
+    total = sum(a * b for a, b in zip(m.dims, n.dims))
     solve, primes = _hom_mod_p_reduced, LARGE_PRIMES
     if src is None:
         solve = _hom_mod_p_full
-        rows_count = sum(n.dims[t] * m.dims[s] for s, t in m.quiver.arrows)
+        rows_count = sum(n.dims[t] * m.dims[s] for s, t in arrows)
         if rows_count * total * min(rows_count, total) > 3_000_000_000:
             primes = ()
     for p in primes:
@@ -352,25 +340,17 @@ def hom_ext(m: QuiverRep, n: QuiverRep, want_basis: bool = False) -> HomExt:
             continue
         hom_p = solve(m, n, p)
         if hom_p == max(chi, 0):
-            return HomExt(hom_p, hom_p - chi, None, f"mod-{p}")
+            return HomExt(hom_p, hom_p - chi, f"mod-{p}")
     # uncertified: fall back to exact arithmetic when at all feasible
     if total > 400:
         raise OracleBoundError(f"hom system with {total} unknowns is uncertified and too large")
-    rows, total, _ = _system_rows(m, n)
-    rank = _linalg.int_rank(rows) if rows else 0
-    hom = total - rank
-    return HomExt(hom, hom - chi, None, "exact-fallback")
-
-
-def _reshape_basis(vec, m: QuiverRep, n: QuiverRep, offs):
-    out = []
-    for v in range(m.quiver.vertex_count):
-        block = []
-        for i in range(n.dims[v]):
-            base = offs[v] + i * m.dims[v]
-            block.append(tuple(vec[base : base + m.dims[v]]))
-        out.append(tuple(block))
-    return tuple(out)
+    # the Fraction arrows as object arrays, shaped also when empty
+    exact = [
+        [np.array(mat, dtype=object).reshape(r.dims[t], r.dims[s]) for mat, (s, t) in zip(r.matrices, arrows)]
+        for r in (m, n)
+    ]
+    hom = total - _linalg.int_rank(_system(m, n, *exact).tolist())
+    return HomExt(hom, hom - chi, "exact-fallback")
 
 
 # -- subrepresentation enumeration ----------------------------------------

@@ -290,6 +290,29 @@ def test_orbit_rejects_a_winding_twist(capsys):
     assert out == '{"related":false}\n'
 
 
+@pytest.mark.parametrize(
+    "target",
+    [SIGMA.replace('"n":2', '"n":3'), SIGMA.replace('"base":0', '"base":5')],
+    ids=["other-quiver", "other-chart"],
+)
+def test_orbit_refuses_points_on_different_charts(capsys, target):
+    # the tokens are equal, but they present points of different charts
+    code, out, err = run(capsys, ["orbit", "--point", SIGMA, "--target", target])
+    assert code == 2 and out == ""
+    want = json.loads(target)
+    assert err == (
+        "error: orbit needs both points on one chart: "
+        f"n=2 base=0 and n={want['n']} base={want['base']}\n"
+    )
+
+
+def test_overlap_refuses_a_negative_sample_count(capsys):
+    argv = ["overlap", "--arrows", "2", "--chart", "0", "--other", "1", "--samples", "-3"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: overlap needs a nonnegative sample count, not -3\n"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "metric"])
     assert code == 0
@@ -361,6 +384,10 @@ def _with(base: str, **fields) -> str:
         (["classify", "--collection", _with(UNKNOWN_PAIR, shifts=[0, 0.5])], "shifts"),
         (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1": {"0": 2.7}})], "table"),
         (["classify", "--collection", _with(UNKNOWN_PAIR, euler=[[1, 2.9], [0, 1]])], "euler"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, labels="AB")], "labels"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, labels=[1, 2])], "labels"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, classes=[[1, 0], [0, 1], [1, 1]])], "classes"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, shifts=[0, 0, 0])], "shifts"),
     ],
     ids=[
         "tokens-int",
@@ -381,6 +408,10 @@ def _with(base: str, **fields) -> str:
         "shift-float",
         "dim-float",
         "euler-float",
+        "labels-string",
+        "labels-ints",
+        "classes-long",
+        "shifts-long",
     ],
 )
 def test_badly_shaped_json_is_a_usage_error(capsys, argv, field):

@@ -203,28 +203,84 @@ def test_hom_ext_modular_path_matches_additivity():
     assert he.ext == 2 * (ha.ext + hb.ext)
 
 
-def test_hom_basis_elements_intertwine():
-    q = kronecker_quiver(2)
-    m = rep_lab.make_rep(
-        q,
-        (1, 2),
-        [[[Fraction(1)], [Fraction(0)]], [[Fraction(0)], [Fraction(1)]]],
-    )
-    he = rep_lab.hom_ext(m, m, want_basis=True)
-    assert he.hom == 1 and he.basis is not None
-    for element in he.basis:
-        for idx, (s, t) in enumerate(q.arrows):
-            a = m.matrices[idx]
-            xs, xt = element[s], element[t]
-            left = [
-                [sum(xt[i][k] * a[k][j] for k in range(m.dims[t])) for j in range(m.dims[s])]
-                for i in range(m.dims[t])
-            ]
-            right = [
-                [sum(a[i][l] * xs[l][j] for l in range(m.dims[s])) for j in range(m.dims[s])]
-                for i in range(m.dims[t])
-            ]
-            assert left == right
+A3 = Quiver("a3", 3, ((0, 1), (1, 2)))
+FORK = Quiver("fork", 3, ((0, 2), (1, 2), (0, 2)))
+TRIANGLE = Quiver("triangle", 3, ((0, 1), (1, 2), (0, 2)))
+
+
+def _rep_with_halves(quiver, rng):
+    """A random rep with dims 0 to 3, zero at a vertex often, and entries of denominator 1 or 2."""
+    dims = tuple(rng.randint(0, 3) for _ in range(quiver.vertex_count))
+    mats = [
+        [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dims[s])] for _ in range(dims[t])]
+        for s, t in quiver.arrows
+    ]
+    return rep_lab.make_rep(quiver, dims, mats)
+
+
+def _exact_arrows(m):
+    return [
+        np.array(mat, dtype=object).reshape(m.dims[t], m.dims[s]) for mat, (s, t) in zip(m.matrices, m.quiver.arrows)
+    ]
+
+
+def test_the_exact_intertwiner_system_reduces_to_the_modular_one():
+    rng = random.Random(57)
+    p = rep_lab.LARGE_PRIMES[0]
+    for quiver in (kronecker_quiver(2), A3, FORK, Quiver("none", 2, ())):
+        for _ in range(25):
+            a, b = _rep_with_halves(quiver, rng), _rep_with_halves(quiver, rng)
+            exact = rep_lab._system(a, b, _exact_arrows(a), _exact_arrows(b))
+            modular = rep_lab._system(a, b, rep_lab._arrows_mod_p(a, p), rep_lab._arrows_mod_p(b, p))
+            assert exact.shape == modular.shape
+            assert exact.shape[1] == sum(x * y for x, y in zip(a.dims, b.dims))
+            reduced = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in exact.tolist()]
+            assert reduced == (modular % p).tolist()
+
+
+def test_the_self_hom_of_a_direct_sum_takes_the_exact_fallback():
+    # the identity of each summand puts hom >= 2 > 0, so a modular rank
+    # certifies only when ext vanishes, and every other sum is ranked exactly
+    rng = random.Random(58)
+    fallbacks = 0
+    for quiver in (A3, FORK):
+        for v in range(quiver.vertex_count):
+            summand = rep_lab.vertex_simple(quiver, v)
+            for _ in range(4):
+                m = rep_lab.direct_sum(_random_rep(quiver, rng, top=2), summand)
+                he = rep_lab.hom_ext(m, m)
+                hom, ext = _hom_ext_by_elimination(m, m)
+                assert (he.hom, he.ext) == (hom, ext)
+                assert he.method == "exact-fallback" if ext else he.method.startswith("mod-")
+                fallbacks += ext > 0
+    assert fallbacks >= 12
+
+
+def test_hom_ext_on_edge_representations(monkeypatch):
+    # zero reps, vertex simples, a quiver without arrows and a reversed arrow,
+    # certified modularly and then forced through the exact fallback
+    rng = random.Random(59)
+    cases = []
+    for quiver in (kronecker_quiver(2), A3, Quiver("none", 2, ()), Quiver("back", 2, ((1, 0),)), TRIANGLE):
+        reps = [rep_lab.zero_rep(quiver)]
+        reps += [rep_lab.vertex_simple(quiver, v) for v in range(quiver.vertex_count)]
+        reps += [_rep_with_halves(quiver, rng) for _ in range(2)]
+        cases += [(a, b) for a in reps for b in reps]
+    # on a tree or a bipartite quiver, negating f_v at every other vertex
+    # hides a sign error in one kind of block; the triangle's cycle is odd,
+    # and the wrong sign would leave this brick no endomorphism
+    brick = rep_lab.make_rep(TRIANGLE, (1, 1, 1), [[[1]], [[1]], [[Fraction(1, 2)]]])
+    cases.append((brick, brick))
+    want = [_hom_ext_by_elimination(a, b) for a, b in cases]
+    rep_lab.hom_ext.cache_clear()
+    assert [(he.hom, he.ext) for he in (rep_lab.hom_ext(a, b) for a, b in cases)] == want
+    rep_lab.hom_ext.cache_clear()
+    for name in ("_hom_mod_p_full", "_hom_mod_p_reduced"):
+        monkeypatch.setattr(rep_lab, name, lambda m, n, p: -1)
+    exact = [rep_lab.hom_ext(a, b) for a, b in cases]
+    rep_lab.hom_ext.cache_clear()
+    assert {he.method for he in exact} == {"exact-fallback"}
+    assert [(he.hom, he.ext) for he in exact] == want
 
 
 def test_subrep_dimvec_fixtures():
