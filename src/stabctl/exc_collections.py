@@ -1,11 +1,10 @@
 """Exceptional collections with graded Hom tables and mutations.
 
-A collection stores objects (label, lattice class, presentation shift,
-optional representation handle), a graded Hom table for forward pairs, and
-the Euler pairing of the ambient lattice.  Tables track exactness per entry:
-after a mutation an entry is either forced by the long-exact-sequence degree
-bound together with the Euler pairing, or it is marked unknown (None) until
-resolved from outside.
+A collection stores objects (label, lattice class, presentation shift), a
+graded Hom table for forward pairs, and the Euler pairing of the ambient
+lattice.  Tables track exactness per entry: after a mutation an entry is
+either forced by the long-exact-sequence degree bound together with the
+Euler pairing, or it is marked unknown (None) until resolved from outside.
 
 Left and right mutation share one construction: one object of the pair is
 kept and moves past the other, which is replaced by the cone, up to shift,
@@ -17,7 +16,8 @@ is a right mutation in the opposite category (Bondal 1989).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, replace
 
 from .klattice import EulerMatrix, euler_pair
 
@@ -29,17 +29,16 @@ KClass = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ExcObject:
-    """One exceptional object.
+    """One exceptional object, known by its label and lattice class.
 
-    `shift` records how the object relates to a module-category model:
-    the object is modeled by `rep` placed in homological degree `-shift`,
-    so classes carry the sign (-1)**shift of the underlying module class.
+    `shift` records how the object relates to a module-category model: the
+    object is a module placed in homological degree `-shift`, so its class
+    carries the sign (-1)**shift of the module's class.
     """
 
     label: str
     kclass: KClass
     shift: int = 0
-    rep: object | None = field(default=None, compare=False)
 
     def shifted(self, k: int) -> ExcObject:
         if k == 0:
@@ -336,21 +335,6 @@ def classify(c: ExcCollection) -> CollectionFlags:
     return CollectionFlags(strong=strong, ext=ext, regular=regular, orthogonal=orthogonal)
 
 
-def ext_shift(c: ExcCollection) -> tuple[int, ...]:
-    """Smallest non-negative shifts p making {E_i[p_i]} an Ext-collection."""
-    n = c.size
-    p = [0] * n
-    for i in range(n - 2, -1, -1):
-        need = 0
-        for j in range(i + 1, n):
-            kmin = c.table.min_degree(i, j)
-            if math.isinf(kmin):
-                continue
-            need = max(need, p[j] + 1 - int(kmin))
-        p[i] = need
-    return tuple(p)
-
-
 def shift_objects(c: ExcCollection, p) -> ExcCollection:
     """The collection {E_i[p_i]} with its table in the shifted grading.
 
@@ -438,9 +422,30 @@ def _json_int(value) -> int:
     return value
 
 
+_KEY_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _key_int(text: str) -> int:
+    """The number in a table key, spelled as `str` spells an int.
+
+    One spelling per integer, so no two keys of a table or an entry can
+    name the same pair or degree.
+    """
+    if not _KEY_INT.fullmatch(text):
+        raise TypeError(f"{text!r} is not a plain integer")
+    return int(text)
+
+
+def _pair_key(text: str) -> tuple[int, int]:
+    """The pair (i, j) of a table key "i,j"."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise TypeError(f"{text!r} is not a pair of integers")
+    return _key_int(parts[0]), _key_int(parts[1])
+
+
 def _entry_from_data(e):
-    # the degree keys are strings, parsed by HomTable; the dimensions are integers
-    return None if e is None else {k: _json_int(d) for k, d in e.items()}
+    return None if e is None else {_key_int(k): _json_int(d) for k, d in e.items()}
 
 
 def _json_labels(value) -> list[str]:
@@ -458,13 +463,11 @@ def collection_from_data(data: dict, table: HomTable | None = None) -> ExcCollec
         if len(values) != len(labels):
             raise ValueError(f"malformed {name!r} field: {len(values)} entries for {len(labels)} labels")
     if table is None:
-        # HomTable cleans each entry to int degrees and nonzero dimensions
+        # HomTable drops zero dimensions and refuses keys out of order or range
         table = _field(
             "table",
             data.get("table") or {},
-            lambda t: HomTable(
-                len(labels), {tuple(map(int, k.split(","))): _entry_from_data(e) for k, e in t.items()}
-            ),
+            lambda t: HomTable(len(labels), {_pair_key(k): _entry_from_data(e) for k, e in t.items()}),
         )
     if data.get("euler") is not None:
         euler = _field("euler", data["euler"], lambda v: EulerMatrix([list(map(_json_int, r)) for r in v]))

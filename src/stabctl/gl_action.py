@@ -2,8 +2,9 @@
 
 An element is a rational 2x2 matrix with positive determinant plus an
 integer lift; the lift pins down which branch of the induced circle map the
-element carries.  All phase bookkeeping runs through tokens, so the action
-on stability data is exact.
+element carries, read off its anchor, the phase the branch gives to i.  All
+phase bookkeeping runs through tokens, so the action on stability data is
+exact.
 """
 
 from __future__ import annotations
@@ -75,35 +76,42 @@ class GLTildeElement:
         }
 
 
+def _anchor(matrix: Mat2, lift: int) -> PhaseToken:
+    """The phase a lift gives to i: that of matrix*i in (2*lift, 2*lift + 2]."""
+    za = mat_apply(matrix, _I_VEC)
+    return PhaseToken(za, 2 * lift) if in_half_plane(za) else PhaseToken(-za, 2 * lift + 1)
+
+
 def lift_apply(g: GLTildeElement, token: PhaseToken) -> PhaseToken:
-    """Evaluate the lifted phase map on a token."""
+    """Evaluate the lifted phase map on a token.
+
+    The map is increasing, commutes with the unit shift and sends phase 1/2
+    to the anchor a, so it sends phases in (0, 1] into (a - 1, a + 1): one
+    sign test against the anchor picks the branch.
+    """
     t1 = PhaseToken.make(mat_apply(g.matrix, token.z), 0)
-    za = mat_apply(g.matrix, _I_VEC)
-    ta = PhaseToken.make(za, 0)
-    c = 0 if in_half_plane(za) else 2
-    cmp = phase_compare(t1, ta, offset=c - 1)
-    if cmp == 0:
-        raise ArithmeticError("degenerate lift comparison")
-    k = 0 if cmp > 0 else 1
+    k = 0 if phase_compare(t1, _anchor(g.matrix, 0), offset=-1) > 0 else 1
     return PhaseToken(t1.z, t1.winding + token.winding + 2 * k + 2 * g.lift)
 
 
 def compose(g: GLTildeElement, h: GLTildeElement) -> GLTildeElement:
-    """Group product carrying g's branch after h's (lift maps compose g o h)."""
-    prod = mat_mul(g.matrix, h.matrix)
-    ref = PhaseToken(_I_VEC, 0)
-    lhs = lift_apply(g, lift_apply(h, ref))
-    rhs = lift_apply(GLTildeElement(prod, 0), ref)
-    d = lhs.winding - rhs.winding
-    if d % 2:
-        raise ArithmeticError("odd branch defect in composition")
-    return GLTildeElement(prod, d // 2)
+    """Group product carrying g's branch after h's (lift maps compose g o h).
+
+    The product's anchor is g's lift applied to h's anchor; an anchor's
+    winding is twice the lift, plus one off the upper half plane.
+    """
+    anchor = lift_apply(g, _anchor(h.matrix, h.lift))
+    return GLTildeElement(mat_mul(g.matrix, h.matrix), anchor.winding // 2)
 
 
 def inverse(g: GLTildeElement) -> GLTildeElement:
+    """The element h with g o h the identity.
+
+    g o (g^-1, 0) is the pure lift k whose anchor, at winding 2k, is g's
+    lift applied to the anchor of (g^-1, 0); h carries the lift -k.
+    """
     ginv = mat_inv(g.matrix)
-    k0 = compose(GLTildeElement(ginv, 0), GLTildeElement(g.matrix, 0)).lift
-    return GLTildeElement(ginv, -g.lift - k0)
+    return GLTildeElement(ginv, -(lift_apply(g, _anchor(ginv, 0)).winding // 2))
 
 
 def act_tokens(g: GLTildeElement, tokens) -> tuple[PhaseToken, ...]:

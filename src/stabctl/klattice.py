@@ -101,9 +101,6 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero")
         return GaussianRational(self.re / c, self.im / c)
 
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
     def abs_sq(self) -> Fraction:
         """Squared modulus, an exact rational."""
         return self.re * self.re + self.im * self.im
@@ -331,9 +328,6 @@ class Quiver:
         if len(order) != self.vertex_count:
             return None
         return tuple(order)
-
-    def arrow_count(self, s: int, t: int) -> int:
-        return sum(1 for a, b in self.arrows if a == s and b == t)
 
 
 def kronecker_quiver(n: int) -> Quiver:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from . import _linalg
 from . import exc_collections as xc
 from . import rep_lab
-from .chart_atlas import ChartPoint, build_stability, tokens_from_data, tokens_to_data
+from .chart_atlas import tokens_from_data, tokens_to_data
 from .gl_action import GLTildeElement, act_tokens
 from .klattice import (
     EulerMatrix,
@@ -33,7 +33,6 @@ from .klattice import (
     gauss,
     in_half_plane,
     kronecker_quiver,
-    phase_compare,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "s_class",
     "s_rep",
     "sigma_minus1",
-    "sigma_minus1_presented",
     "theta_member",
 ]
 
@@ -125,6 +123,15 @@ def s_rep(n: int, k: int):
     return _reflect(s_rep(n, k + 1)) if k < 0 else rep_lab.dual(s_rep(n, 1 - k))
 
 
+def _helix_shift(n: int, i: int) -> int:
+    """Shift of the i-th helix object over its module.
+
+    For one arrow the helix is periodic of order three up to shift,
+    S_{i+3} = S_i[-1]; otherwise the natural shift places it.
+    """
+    return natural_shift(i % 3) - i // 3 if n == 1 else natural_shift(i)
+
+
 @lru_cache(maxsize=None)
 def helix_module(n: int, i: int):
     """(module, shift) with the i-th helix object the module shifted down.
@@ -138,7 +145,6 @@ def helix_module(n: int, i: int):
         raise ValueError("need at least one arrow")
     if n == 1:
         r = i % 3
-        cyc = (i - r) // 3
         q = kronecker_quiver(1)
         if r == 0:
             rep = rep_lab.vertex_simple(q, 0)
@@ -146,10 +152,9 @@ def helix_module(n: int, i: int):
             rep = rep_lab.vertex_simple(q, 1)
         else:
             rep = rep_lab.make_rep(q, (1, 1), [[[Fraction(1)]]])
-        shift = natural_shift(r) - cyc
     else:
         rep = s_rep(n, i)
-        shift = natural_shift(i)
+    shift = _helix_shift(n, i)
     sign = -1 if shift % 2 else 1
     if (sign * rep.dims[0], sign * rep.dims[1]) != s_class(n, i):
         raise RuntimeError("module dimensions disagree with the lattice class")
@@ -183,13 +188,12 @@ def module_hom_prediction(n: int, i: int, j: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def pn_collection(n: int, m: int) -> xc.ExcCollection:
-    """The adjacent exceptional pair (S_m, S_{m+1}) with its hom table."""
-    objs = []
-    for j in (m, m + 1):
-        rep, shift = helix_module(n, j)
-        objs.append(xc.ExcObject(f"S[{j}]", s_class(n, j), shift=shift, rep=rep))
-    table = xc.HomTable(2, {(0, 1): {0: n}})
-    return xc.make_collection(tuple(objs), table, pn_euler(n))
+    """The adjacent exceptional pair (S_m, S_{m+1}) with its hom table.
+
+    Read off the lattice: no module is built, so every chart answers alike.
+    """
+    objs = tuple(xc.ExcObject(f"S[{j}]", s_class(n, j), shift=_helix_shift(n, j)) for j in (m, m + 1))
+    return xc.make_collection(objs, xc.HomTable(2, {(0, 1): {0: n}}), pn_euler(n))
 
 
 @dataclass(frozen=True)
@@ -221,25 +225,29 @@ def point_from_data(data: dict) -> PnPoint:
     return PnPoint(n, xc._field("base", data["base"], xc._json_int), tokens_from_data(data))
 
 
-def sigma_minus1(n: int) -> PnPoint:
-    """The reference point: module heart, source charge -1, sink charge 1+i."""
-    cp = build_stability(pn_collection(n, 0), (1, 0), (gauss(-1), gauss(1, 1)))
-    return PnPoint(n, 0, cp.tokens)
+def sigma_minus1(n: int, m: int = 0) -> PnPoint:
+    """The reference point on the chart at m: source charge -1, sink charge 1+i.
 
-
-def sigma_minus1_presented(n: int, m: int) -> ChartPoint:
-    """The reference point written out on the chart at m."""
-    coll = pn_collection(n, m)
+    S_j is its module (d0, d1) shifted down by the helix shift, so its token
+    is the charge -d0 + (1+i) d1 at winding -shift.
+    """
     toks = []
     for j in (m, m + 1):
-        rep, shift = helix_module(n, j)
-        d0, d1 = rep.dims
+        shift = _helix_shift(n, j)
+        sign = -1 if shift % 2 else 1
+        d0, d1 = (sign * x for x in s_class(n, j))
         toks.append(PhaseToken(gauss(d1 - d0, d1), -shift))
-    return ChartPoint(coll, tuple(toks))
+    return PnPoint(n, m, tuple(toks))
 
 
 def _cross(a: GaussianRational, b: GaussianRational) -> Fraction:
     return a.re * b.im - a.im * b.re
+
+
+def _gap(point: PnPoint) -> tuple[int, Fraction]:
+    """Winding gap and cross product of the two tokens of a chart point."""
+    t0, t1 = point.tokens
+    return t1.winding - t0.winding, _cross(t0.z, t1.z)
 
 
 def theta_member(point: PnPoint, k: int, bound: int | None = None) -> bool:
@@ -254,21 +262,13 @@ def theta_member(point: PnPoint, k: int, bound: int | None = None) -> bool:
     rank-one charges leave only the defining pair, which for one arrow
     recurs every third chart, since S_{j+3} = S_j[-1].
     """
-    kk = k - point.base
-    t0, t1 = point.tokens
-    delta = t1.winding - t0.winding
-    if delta < 0:
+    delta, c = _gap(point)
+    if delta < 0 or (delta == 0 and c < 0):
         raise ValueError("phase order is wrong for a chart presentation")
-    c = _cross(t0.z, t1.z)
-    if delta == 0:
-        if c == 0:
-            raise ValueError("coincident phases support no chart presentation")
-        if c < 0:
-            raise ValueError("phase order is wrong for a chart presentation")
-        return True
-    if delta == 1 and c < 0:
-        return True
-    return kk % 3 == 0 if point.n == 1 else kk == 0
+    if delta == 0 and c == 0:
+        raise ValueError("coincident phases support no chart presentation")
+    kk = k - point.base
+    return in_O_minus1(point) or (kk % 3 == 0 if point.n == 1 else kk == 0)
 
 
 def in_O_minus1(p: PnPoint) -> bool:
@@ -277,8 +277,8 @@ def in_O_minus1(p: PnPoint) -> bool:
     The action moves both charges as an oriented basis and the phases with
     them, so the orbit is the points whose phase gap is in (0, 1).
     """
-    t0, t1 = p.tokens
-    return phase_compare(t1, t0) > 0 and phase_compare(t1, t0, offset=1) < 0
+    delta, c = _gap(p)
+    return (delta == 0 and c > 0) or (delta == 1 and c < 0)
 
 
 class StablePairNotFound(RuntimeError):
@@ -362,7 +362,7 @@ def _sample_point(n: int, base: int, rng: random.Random) -> PnPoint:
     roll = rng.random()
     acted = False
     if roll < 0.20:
-        ref = sigma_minus1_presented(n, base)
+        ref = sigma_minus1(n, base)
         g = _random_gl(rng)
         point = PnPoint(n, base, act_tokens(g, ref.tokens))
         acted = True

@@ -835,37 +835,24 @@ def sub_dims(bases) -> tuple[int, ...]:
 
 
 def _select_destabilizer(order: PhaseOrder, cands, extractor):
-    """The witness of the next vertex among (charge vector, witness) pairs."""
+    """The witness of the next vertex among (charge vector, witness) pairs.
+
+    Both extractors start from the candidates of maximal phase: `phase`
+    takes the largest of them, the least vector on a tie, and `slope` joins
+    them all.
+    """
+    if extractor not in ("phase", "slope"):
+        raise ValueError(f"unknown extractor {extractor!r}")
+    top = []
+    for vec, bases in cands:
+        c = order.compare(vec, top[0][0]) if top else 1
+        if c > 0:
+            top = [(vec, bases)]
+        elif c == 0:
+            top.append((vec, bases))
     if extractor == "phase":
-        best = None
-        for vec, bases in cands:
-            if best is None:
-                best = (vec, bases)
-                continue
-            c = order.compare(vec, best[0])
-            if c > 0 or (
-                c == 0
-                and (
-                    sum(vec) > sum(best[0])
-                    or (sum(vec) == sum(best[0]) and vec < best[0])
-                )
-            ):
-                best = (vec, bases)
-        return best[1]
-    if extractor == "slope":
-        # maximal slope by exact cross products, then join every maximal witness
-        def slope_greater(a, b):
-            return order.cross(a, b) < 0
-        top = []
-        for vec, bases in cands:
-            if not top:
-                top = [(vec, bases)]
-            elif slope_greater(vec, top[0][0]):
-                top = [(vec, bases)]
-            elif not slope_greater(top[0][0], vec):
-                top.append((vec, bases))
-        return _join_witnesses_from(top)
-    raise ValueError(f"unknown extractor {extractor!r}")
+        return min(top, key=lambda cand: (-sum(cand[0]), cand[0]))[1]
+    return _join_witnesses_from(top)
 
 
 def _join_witnesses_from(top):

@@ -307,7 +307,7 @@ def _member_by_oracle(point: pn.PnPoint, k: int, bound: int = 12) -> bool:
 
 
 def _orbit_by_solver(point: pn.PnPoint) -> bool:
-    ref = pn.sigma_minus1_presented(point.n, point.base)
+    ref = pn.sigma_minus1(point.n, point.base)
     return gl_action.orbit_solve(ref, point) is not None
 
 
@@ -590,7 +590,7 @@ def suite_aut() -> SuiteResult:
 def suite_metric() -> SuiteResult:
     start = time.perf_counter()
     failures = []
-    p = pn.sigma_minus1_presented(2, 0)
+    p = pn.sigma_minus1(2)
 
     d_self = ca.metric_bound(p, p)
     if d_self != 0.0:

@@ -118,7 +118,7 @@ def test_build_stability_validation():
 
 
 def test_chart_point_views():
-    point = pn_model.sigma_minus1_presented(2, 0)
+    point = ca.ChartPoint(pn_model.pn_collection(2, 0), pn_model.sigma_minus1(2).tokens)
     data = point.to_data()
     assert ca.tokens_from_data(data) == point.tokens
 
@@ -177,7 +177,7 @@ def test_overlap_witness_rejections():
 
 
 def test_metric_bound_properties():
-    p = pn_model.sigma_minus1_presented(2, 0)
+    p = ca.ChartPoint(pn_model.pn_collection(2, 0), pn_model.sigma_minus1(2).tokens)
     assert ca.metric_bound(p, p) == 0.0
     q = ca.ChartPoint(p.collection, tuple(t.shifted(2) for t in p.tokens))
     assert ca.metric_bound(p, q) == 2.0

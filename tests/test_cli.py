@@ -388,6 +388,12 @@ def _with(base: str, **fields) -> str:
         (["classify", "--collection", _with(UNKNOWN_PAIR, labels=[1, 2])], "labels"),
         (["classify", "--collection", _with(UNKNOWN_PAIR, classes=[[1, 0], [0, 1], [1, 1]])], "classes"),
         (["classify", "--collection", _with(UNKNOWN_PAIR, shifts=[0, 0, 0])], "shifts"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table={"a,b": {"0": 3}})], "table"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,x": {"0": 3}})], "table"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1,2": {"0": 3}})], "table"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0": {"0": 3}})], "table"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1": {"x": 3}})], "table"),
+        (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1": {"0": 1, "-0": 2}})], "table"),
     ],
     ids=[
         "tokens-int",
@@ -412,6 +418,12 @@ def _with(base: str, **fields) -> str:
         "labels-ints",
         "classes-long",
         "shifts-long",
+        "key-letters",
+        "key-letter",
+        "key-triple",
+        "key-single",
+        "degree-letter",
+        "degree-minus-zero",
     ],
 )
 def test_badly_shaped_json_is_a_usage_error(capsys, argv, field):

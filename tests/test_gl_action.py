@@ -14,9 +14,12 @@ from stabctl.gl_action import (
     compose,
     inverse,
     lift_apply,
+    mat_apply,
+    mat_inv,
+    mat_mul,
     orbit_solve,
 )
-from stabctl.klattice import PhaseToken, gauss, in_half_plane
+from stabctl.klattice import PhaseToken, gauss, in_half_plane, phase_compare
 
 IDENTITY = GLTildeElement(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), 0)
 
@@ -112,6 +115,56 @@ def test_orbit_solve_rejects_unrelated_points():
     # charge columns with a negative determinant are unreachable
     flipped = pn_model.PnPoint(2, 0, (PhaseToken(gauss(1, 1), -1), PhaseToken(gauss(-1), 0)))
     assert orbit_solve(base, flipped) is None
+
+
+# the three-lift route: g's lift after h's on i, compared with the product's
+# branch at lift 0; the inverse takes its lift from such a product
+
+
+def _reference_lift_apply(g: GLTildeElement, token: PhaseToken) -> PhaseToken:
+    t1 = PhaseToken.make(mat_apply(g.matrix, token.z), 0)
+    za = mat_apply(g.matrix, gauss(0, 1))
+    ta = PhaseToken.make(za, 0)
+    c = 0 if in_half_plane(za) else 2
+    cmp = phase_compare(t1, ta, offset=c - 1)
+    assert cmp != 0
+    k = 0 if cmp > 0 else 1
+    return PhaseToken(t1.z, t1.winding + token.winding + 2 * k + 2 * g.lift)
+
+
+def _reference_compose(g: GLTildeElement, h: GLTildeElement) -> GLTildeElement:
+    prod = mat_mul(g.matrix, h.matrix)
+    ref = PhaseToken(gauss(0, 1), 0)
+    lhs = _reference_lift_apply(g, _reference_lift_apply(h, ref))
+    rhs = _reference_lift_apply(GLTildeElement(prod, 0), ref)
+    d = lhs.winding - rhs.winding
+    assert d % 2 == 0
+    return GLTildeElement(prod, d // 2)
+
+
+def _reference_inverse(g: GLTildeElement) -> GLTildeElement:
+    ginv = mat_inv(g.matrix)
+    k0 = _reference_compose(GLTildeElement(ginv, 0), GLTildeElement(g.matrix, 0)).lift
+    return GLTildeElement(ginv, -g.lift - k0)
+
+
+def _random_fractional_element(rng: random.Random) -> GLTildeElement:
+    while True:
+        rows = tuple(
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)) for _ in range(2)
+        )
+        if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] > 0:
+            return GLTildeElement(rows, rng.randint(-2, 2))
+
+
+def test_one_lift_group_operations_match_the_three_lift_route():
+    rng = random.Random(12)
+    for _ in range(2000):
+        g, h = _random_fractional_element(rng), _random_fractional_element(rng)
+        (t,) = _random_tokens(rng, 1)
+        assert lift_apply(g, t) == _reference_lift_apply(g, t)
+        assert compose(g, h) == _reference_compose(g, h)
+        assert inverse(g) == _reference_inverse(g)
 
 
 def test_element_serialization():

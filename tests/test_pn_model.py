@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from stabctl import gl_action, pn_model, rep_lab, verify
+from stabctl import chart_atlas as ca
+from stabctl import cli, gl_action, pn_model, rep_lab, verify
 from stabctl.klattice import CentralCharge, PhaseToken, euler_pair, gauss, kronecker_quiver
 
 
@@ -151,8 +152,6 @@ def test_point_validation():
 
 
 def test_membership_profile_of_shifted_chart_point():
-    from stabctl import chart_atlas as ca
-
     chart = ca.build_stability(
         pn_model.pn_collection(2, 2), (1, 0), (gauss(1, 1), gauss(0, 1))
     )
@@ -267,8 +266,45 @@ def test_overlap_scan_small():
 def test_presented_reference_matches_chart():
     for n in (1, 2, 3):
         for m in (-1, 0, 2):
-            chart = pn_model.sigma_minus1_presented(n, m)
-            assert pn_model.in_O_minus1(pn_model.PnPoint(n, m, chart.tokens))
+            assert pn_model.in_O_minus1(pn_model.sigma_minus1(n, m))
+
+
+def test_reference_point_matches_the_module_route():
+    # the route through the modules: S_j is the module (d0, d1) shifted
+    # down, with charge -d0 + (1+i) d1
+    for n in (1, 2, 3, 4):
+        for m in range(-3, 4):
+            toks = []
+            for j in (m, m + 1):
+                module, shift = pn_model.helix_module(n, j)
+                d0, d1 = module.dims
+                toks.append(PhaseToken(gauss(d1 - d0, d1), -shift))
+            assert pn_model.sigma_minus1(n, m) == pn_model.PnPoint(n, m, tuple(toks))
+        chart = ca.build_stability(pn_model.pn_collection(n, 0), (1, 0), (gauss(-1), gauss(1, 1)))
+        assert pn_model.sigma_minus1(n).tokens == chart.tokens
+
+
+def test_the_chart_path_builds_no_module(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chart path built a module")
+
+    monkeypatch.setattr(pn_model, "helix_module", refuse)
+    monkeypatch.setattr(pn_model, "s_rep", refuse)
+    pn_model.pn_collection.cache_clear()
+    for n in (1, 2, 3, 4):
+        for b in (-12, 9):
+            c = pn_model.pn_collection(n, b)
+            assert [o.kclass for o in c.objects] == [pn_model.s_class(n, b), pn_model.s_class(n, b + 1)]
+            assert pn_model.in_O_minus1(pn_model.sigma_minus1(n, b))
+    for argv in (
+        ["classify"],
+        ["chart"],
+        ["mutate", "--index", "0", "--direction", "right"],
+        ["build", "--shifts", "1,0", "--charges=-1,1+1i"],
+        ["witness", "--index", "0"],
+    ):
+        assert cli.main([*argv, "--pn", "3", "--base", "9"]) == 0, argv
+    capsys.readouterr()
 
 
 def _check_closed_forms(n, charts, draws, bound):
@@ -302,7 +338,7 @@ def test_chart_answers_past_the_oracle_bound(monkeypatch):
     monkeypatch.setattr(rep_lab, "theta_test", refuse)
     monkeypatch.setattr(pn_model, "s_rep", refuse)
     monkeypatch.setattr(gl_action, "orbit_solve", refuse)
-    # the tokens of sigma_minus1, written out: building it reads S_0, S_1
+    # the tokens of sigma_minus1 on chart 0, written out
     sigma = (PhaseToken(gauss(-1), -1), PhaseToken(gauss(1, 1), 0))
     rng = random.Random(9)
     for n in (3, 4):
