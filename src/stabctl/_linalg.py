@@ -252,12 +252,6 @@ def extend_to_basis(vectors: Matrix, dim: int) -> Matrix:
     return [list(v) for v in vectors] + units
 
 
-def row_space_basis(rows: Matrix) -> Matrix:
-    """The nonzero rows of the reduced row echelon form."""
-    m, pivots, den = _fraction_free(rows)
-    return [[_entry(x, den) for x in row] for row in m[: len(pivots)]]
-
-
 def int_rank(rows) -> int:
     """Rank of an integer or rational matrix by fraction-free elimination."""
     return len(_fraction_free(rows)[1])

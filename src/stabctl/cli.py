@@ -74,18 +74,25 @@ def _parse_charges(text: str) -> tuple[GaussianRational, ...]:
     return tuple(GaussianRational.parse(part) for part in text.split(","))
 
 
-def _parse_resolutions(items) -> dict[tuple[int, int], dict[int, int]]:
+def _read_resolutions(items) -> dict[tuple[int, int], dict[int, int]]:
+    """Entries I,J:DEG=DIM[,DEG=DIM], integers spelled as in a table key;
+    a pair or a degree given twice is refused, not overwritten."""
     out: dict[tuple[int, int], dict[int, int]] = {}
-    for item in items or ():
+    for item in items:
         pair, _, dims_part = item.partition(":")
-        i, j = (int(x) for x in pair.split(","))
-        dims: dict[int, int] = {}
-        if dims_part:
-            for chunk in dims_part.split(","):
-                deg, _, d = chunk.partition("=")
-                dims[int(deg)] = int(d)
-        out[(i, j)] = dims
+        if (key := xc._pair_key(pair)) in out:
+            raise TypeError(f"entry {pair} is resolved twice")
+        dims = out[key] = {}
+        for chunk in dims_part.split(",") if dims_part else ():
+            deg, _, d = chunk.partition("=")
+            if (k := xc._key_int(deg)) in dims:
+                raise TypeError(f"degree {deg} is given twice in {item!r}")
+            dims[k] = xc._key_int(d)
     return out
+
+
+def _parse_resolutions(items) -> dict[tuple[int, int], dict[int, int]]:
+    return xc._field("--resolve", items or (), _read_resolutions)
 
 
 # -- command bodies ---------------------------------------------------------
@@ -121,7 +128,7 @@ def cmd_chart(args) -> int:
 
 def cmd_build(args) -> int:
     c = _load_collection(args)
-    shifts = tuple(int(x) for x in args.shifts.split(","))
+    shifts = xc._field("--shifts", args.shifts, lambda v: tuple(map(xc._key_int, v.split(","))))
     point = ca.build_stability(c, shifts, _parse_charges(args.charges))
     _emit(point.to_data())
     return 0
@@ -282,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", type=int, required=True)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--oracle-bound", type=int, help="accepted and unused: no oracle call here"
-    )
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("witness", help="a point on two adjacent charts")

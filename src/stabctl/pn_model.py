@@ -33,6 +33,7 @@ from .klattice import (
     gauss,
     in_half_plane,
     kronecker_quiver,
+    phase_compare,
 )
 
 __all__ = [
@@ -104,7 +105,7 @@ def _reflect(rep):
 
 @lru_cache(maxsize=None)
 def s_rep(n: int, k: int):
-    """The k-th rigid module of the helix, n >= 2.
+    """The k-th rigid module of the helix.
 
     Going left, S_k for k <= -1 is the reflection at the sink of S_{k+1},
     starting from the vertex simple S_0; an exceptional module is fixed up
@@ -114,10 +115,12 @@ def s_rep(n: int, k: int):
     preprojectives.  Every module is rigid by the reflection theorem: on
     modules with no sink-simple summand (the joint surjectivity _reflect
     checks) the reflection keeps End and the Euler form, so Ext^1 = hom -
-    chi too, and duality keeps both.
+    chi too, and duality keeps both.  One arrow's reflections reach the
+    sink simple at S_-2 and stop there, so its recursion answers for
+    -2 <= k <= 3, one period of its helix and the duals of it.
     """
-    if n < 2:
-        raise ValueError("recursion is for two or more arrows; one arrow is periodic")
+    if n < 1 or (n == 1 and not -2 <= k <= 3):
+        raise ValueError(f"no helix module S({n}, {k}): need n >= 1, and -2 <= k <= 3 for one arrow")
     if k == 0:
         return rep_lab.vertex_simple(kronecker_quiver(n), 0)
     return _reflect(s_rep(n, k + 1)) if k < 0 else rep_lab.dual(s_rep(n, 1 - k))
@@ -136,24 +139,12 @@ def _helix_shift(n: int, i: int) -> int:
 def helix_module(n: int, i: int):
     """(module, shift) with the i-th helix object the module shifted down.
 
-    For one arrow the helix is periodic of order three up to shift, so the
-    modules repeat; otherwise s_rep supplies them, reflections going left
-    and duals going right, each rigid by the reflection theorem.  The
+    s_rep supplies the module, reflections going left and duals going
+    right, each rigid by the reflection theorem; for one arrow the helix is
+    periodic of order three up to shift, so the module is S_{i mod 3}.  The
     lattice class is checked against the closed recurrence on the spot.
     """
-    if n < 1:
-        raise ValueError("need at least one arrow")
-    if n == 1:
-        r = i % 3
-        q = kronecker_quiver(1)
-        if r == 0:
-            rep = rep_lab.vertex_simple(q, 0)
-        elif r == 1:
-            rep = rep_lab.vertex_simple(q, 1)
-        else:
-            rep = rep_lab.make_rep(q, (1, 1), [[[Fraction(1)]]])
-    else:
-        rep = s_rep(n, i)
+    rep = s_rep(n, i % 3 if n == 1 else i)
     shift = _helix_shift(n, i)
     sign = -1 if shift % 2 else 1
     if (sign * rep.dims[0], sign * rep.dims[1]) != s_class(n, i):
@@ -201,7 +192,8 @@ class PnPoint:
     """A stability point presented on one adjacent-pair chart.
 
     base names the chart; the two tokens carry charge and phase of S_base
-    and S_{base+1} in that order.
+    and S_{base+1} in that order.  The pair is a presentation only when
+    S_{base+1} has the higher phase, so any other pair is refused here.
     """
 
     n: int
@@ -214,6 +206,8 @@ class PnPoint:
         toks = tuple(self.tokens)
         if len(toks) != 2 or not all(isinstance(t, PhaseToken) for t in toks):
             raise ValueError("a chart presentation carries exactly two tokens")
+        if phase_compare(toks[1], toks[0]) <= 0:
+            raise ValueError("phase order is wrong for a chart presentation: S_{base+1} needs the higher phase")
         object.__setattr__(self, "tokens", toks)
 
     def to_data(self) -> dict:
@@ -244,12 +238,6 @@ def _cross(a: GaussianRational, b: GaussianRational) -> Fraction:
     return a.re * b.im - a.im * b.re
 
 
-def _gap(point: PnPoint) -> tuple[int, Fraction]:
-    """Winding gap and cross product of the two tokens of a chart point."""
-    t0, t1 = point.tokens
-    return t1.winding - t0.winding, _cross(t0.z, t1.z)
-
-
 def theta_member(point: PnPoint, k: int, bound: int | None = None) -> bool:
     """Whether S_k and S_{k+1} are both stable at the presented point.
 
@@ -260,13 +248,9 @@ def theta_member(point: PnPoint, k: int, bound: int | None = None) -> bool:
     simples survive, every third chart for one arrow.  A gap of zero with
     c > 0 is in the reference orbit, stable on every chart.  Wider gaps and
     rank-one charges leave only the defining pair, which for one arrow
-    recurs every third chart, since S_{j+3} = S_j[-1].
+    recurs every third chart, since S_{j+3} = S_j[-1].  Nothing is refused
+    here: PnPoint admits only pairs whose phases increase.
     """
-    delta, c = _gap(point)
-    if delta < 0 or (delta == 0 and c < 0):
-        raise ValueError("phase order is wrong for a chart presentation")
-    if delta == 0 and c == 0:
-        raise ValueError("coincident phases support no chart presentation")
     kk = k - point.base
     return in_O_minus1(point) or (kk % 3 == 0 if point.n == 1 else kk == 0)
 
@@ -277,7 +261,8 @@ def in_O_minus1(p: PnPoint) -> bool:
     The action moves both charges as an oriented basis and the phases with
     them, so the orbit is the points whose phase gap is in (0, 1).
     """
-    delta, c = _gap(p)
+    t0, t1 = p.tokens
+    delta, c = t1.winding - t0.winding, _cross(t0.z, t1.z)
     return (delta == 0 and c > 0) or (delta == 1 and c < 0)
 
 
@@ -302,11 +287,10 @@ def find_stable_pair(
     """Index k with S_k, S_{k+1} both stable: always the base chart.
 
     At kk = 0 the pair is the two vertex simples, which are stable at every
-    charge, so window and bound are ignored; theta_member still validates
-    the presentation.  StablePairNotFound stays as the reportable failure
-    of a search.
+    charge, so window and bound are ignored; PnPoint has validated the
+    presentation.  StablePairNotFound stays as the reportable failure of a
+    search.
     """
-    theta_member(point, point.base)
     return point.base
 
 

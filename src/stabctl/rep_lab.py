@@ -506,12 +506,12 @@ def _two_vertex_steps(m: QuiverRep):
         return {(m.dims[0] - vec[1], m.dims[1] - vec[0]): w for vec, w in cands.items()}
 
     def certify(pending, p, cands, first):
-        return _two_vertex_witnesses(m, pending, [(p, cands)], dualize, joint=first)
+        return _two_vertex_witnesses(m, pending, p, cands, dualize, joint=first)
 
     return lambda p: _linalg.count_subspaces(min(m.dims), p), candidates, certify
 
 
-def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, joint: bool = True) -> dict:
+def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool, joint: bool = True) -> dict:
     """Rational witnesses for candidates, one basis per vertex.
 
     A subrep (U, W) gives every (u, e) with u <= dim U and dim W <= e: keep
@@ -522,7 +522,7 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, jo
     tried until every one is certified:
 
     - for each candidate still uncertified, the lift of its sink subspace
-      from one prime of per_prime at a time, and U the largest subspace
+      from cands, enumerated mod p, and U the largest subspace
       every arrow maps into it (in the dualized scan, the annihilator of the
       lifted functionals);
     - then, with joint, the blocks of each kernel vector of the joint map
@@ -569,14 +569,13 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, per_prime, dualize: bool, jo
 
     def sources():
         for vec in list(todo):
-            for p, cands in per_prime:
-                if vec in witnesses:
-                    break
-                lifted = _linalg.centered_lift(cands[vec], p).tolist()
-                if dualize:
-                    yield _linalg.frac_kernel(lifted, d_src)
-                else:
-                    yield preimage(_linalg.frac_kernel(lifted, d_snk))
+            if vec in witnesses:
+                continue
+            lifted = _linalg.centered_lift(cands[vec], p).tolist()
+            if dualize:
+                yield _linalg.frac_kernel(lifted, d_src)
+            else:
+                yield preimage(_linalg.frac_kernel(lifted, d_snk))
         if not joint:
             return
         # the joint maps mix the arrows, so they keep the rational entries
@@ -709,25 +708,18 @@ def theta_test(m: QuiverRep, charge: CentralCharge, bound: int | None = None) ->
     (-1, 1+i), scanning (0,0), (0,1), (0,2), (1,2), (2,2); over QQ(sqrt 2)
     the eigenvectors of B span a (1, 1) subrep of the same phase.
 
-    The witness is the first scanned proper vector of the largest phase,
-    compared by the integer form of PhaseOrder; no charge is evaluated.
+    The witness is the first scanned proper vector of the largest phase
+    (_top), compared by the integer form of PhaseOrder; no charge is
+    evaluated.
     """
     _check_stability_function(charge, m.quiver)
     if m.is_zero():
         raise ValueError("the zero representation has no stability verdict")
     scan = subrep_dimvecs(m, bound)
     order = PhaseOrder.of(charge)
-    worst = None
-    for vec in scan.vectors:
-        if any(vec) and vec != m.dims and (worst is None or order.cross(vec, worst) < 0):
-            worst = vec
-    if worst is None:
-        return ThetaResult("stable", None, scan.uncertified)
-    worst_cmp = order.compare(worst, m.dims)
-    if worst_cmp > 0:
-        return ThetaResult("unstable", worst, scan.uncertified)
-    if worst_cmp == 0:
-        return ThetaResult("semistable-not-stable", worst, scan.uncertified)
+    top = _top(order, ((vec, None) for vec in scan.vectors if any(vec) and vec != m.dims))
+    if top and (cmp := order.compare(top[0][0], m.dims)) >= 0:
+        return ThetaResult("unstable" if cmp else "semistable-not-stable", top[0][0], scan.uncertified)
     return ThetaResult("stable", None, scan.uncertified)
 
 
@@ -834,38 +826,42 @@ def sub_dims(bases) -> tuple[int, ...]:
     return tuple(len(b) for b in bases)
 
 
+def _top(order: PhaseOrder, cands) -> list:
+    """The (vector, payload) pairs of maximal phase among cands, in scan order."""
+    top = []
+    for vec, payload in cands:
+        c = order.compare(vec, top[0][0]) if top else 1
+        if c > 0:
+            top = [(vec, payload)]
+        elif c == 0:
+            top.append((vec, payload))
+    return top
+
+
 def _select_destabilizer(order: PhaseOrder, cands, extractor):
     """The witness of the next vertex among (charge vector, witness) pairs.
 
-    Both extractors start from the candidates of maximal phase: `phase`
-    takes the largest of them, the least vector on a tie, and `slope` joins
-    them all.
+    Both extractors start from the candidates of maximal phase (_top):
+    `phase` takes the largest of them, the least vector on a tie, and
+    `slope` joins them all.
     """
     if extractor not in ("phase", "slope"):
         raise ValueError(f"unknown extractor {extractor!r}")
-    top = []
-    for vec, bases in cands:
-        c = order.compare(vec, top[0][0]) if top else 1
-        if c > 0:
-            top = [(vec, bases)]
-        elif c == 0:
-            top.append((vec, bases))
+    top = _top(order, cands)
     if extractor == "phase":
         return min(top, key=lambda cand: (-sum(cand[0]), cand[0]))[1]
     return _join_witnesses_from(top)
 
 
 def _join_witnesses_from(top):
-    """The join of the witnesses, one row space basis per vertex.
+    """The join of the witnesses, one row space basis per vertex: the
+    nonzero rows of the reduced row echelon form of all their rows.
 
     A row repeated across witnesses adds nothing to the span, so it is
     eliminated once.
     """
-    nverts = len(top[0][1])
     joined = []
-    for v in range(nverts):
-        rows = list(dict.fromkeys(r for _, bases in top for r in bases[v]))
-        joined.append(
-            tuple(tuple(r) for r in (_linalg.row_space_basis(rows) if rows else []))
-        )
+    for v in range(len(top[0][1])):
+        rref, pivots = _linalg.frac_rref(list(dict.fromkeys(r for _, bases in top for r in bases[v])))
+        joined.append(tuple(tuple(r) for r in rref[: len(pivots)]))
     return tuple(joined)

@@ -1,9 +1,9 @@
 """Self-checking suites exercising every component against its contract.
 
 Each suite draws seeded random instances, checks an identity or a frozen
-fixture, and reports a case count with reproducer strings for failures.
-The suites are pure functions of their fixed seeds, so a clean run is
-reproducible bit for bit.
+fixture, and returns a case count with reproducer strings for failures;
+run_suite names and times it.  The suites are pure functions of their
+fixed seeds, so a clean run is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ def _classes(c: xc.ExcCollection) -> tuple:
     return tuple(o.kclass for o in c.objects)
 
 
-def suite_braid() -> SuiteResult:
-    start = time.perf_counter()
+def suite_braid() -> tuple[int, list[str]]:
     rng = random.Random(97)
     failures = []
     cases = 0
@@ -138,7 +137,7 @@ def suite_braid() -> SuiteResult:
                     failures.append(f"{tag}: distant mutations at 0 and 2 do not commute")
         except ValueError as exc:
             failures.append(f"{tag}: {exc}")
-    return SuiteResult("braid", cases, tuple(failures), time.perf_counter() - start)
+    return cases, failures
 
 
 # -- suite 2: hom minus ext equals the Euler pairing ------------------------
@@ -157,8 +156,7 @@ def _random_rep(quiver, rng: random.Random) -> rep_lab.QuiverRep:
     return rep_lab.make_rep(quiver, dims, mats)
 
 
-def suite_euler_hom() -> SuiteResult:
-    start = time.perf_counter()
+def suite_euler_hom() -> tuple[int, list[str]]:
     rng = random.Random(211)
     failures = []
     cases = 0
@@ -175,14 +173,13 @@ def suite_euler_hom() -> SuiteResult:
                     f"n={n} trial={trial}: hom {he.hom} ext {he.ext} "
                     f"dims {a.dims}->{b.dims} misses the pairing"
                 )
-    return SuiteResult("euler-hom", cases, tuple(failures), time.perf_counter() - start)
+    return cases, failures
 
 
 # -- suite 3: hom concentration along the helix -----------------------------
 
 
-def suite_helix_law() -> SuiteResult:
-    start = time.perf_counter()
+def suite_helix_law() -> tuple[int, list[str]]:
     failures = []
     cases = 0
     # the diagonal, hom_ext(S, S) = (1, 0), is the rigidity check the build
@@ -203,7 +200,7 @@ def suite_helix_law() -> SuiteResult:
                         f"n={n} pair ({i},{j}): got ({he.hom},{he.ext}), "
                         f"predicted degree {degree} dimension {dim}"
                     )
-    return SuiteResult("helix-law", cases, tuple(failures), time.perf_counter() - start)
+    return cases, failures
 
 
 # -- suite 4: the central fixture and the class recursion -------------------
@@ -217,8 +214,7 @@ def _special_ray_phase(z: GaussianRational) -> Fraction | None:
     return None
 
 
-def suite_sigma_fixture() -> SuiteResult:
-    start = time.perf_counter()
+def suite_sigma_fixture() -> tuple[int, list[str]]:
     failures = []
     cases = 0
     charge = CentralCharge((gauss(-1), gauss(1, 1)))
@@ -261,9 +257,7 @@ def suite_sigma_fixture() -> SuiteResult:
                 or euler_pair(em, c1, c0) != 0
             ):
                 failures.append(f"n={n} index {i}: pairing is not unipotent upper {n}")
-    return SuiteResult(
-        "sigma-fixture", cases, tuple(failures), time.perf_counter() - start
-    )
+    return cases, failures
 
 
 # -- suite 5: chart membership against the oracle and the orbit solver ----
@@ -300,8 +294,7 @@ def _member_by_oracle(point: pn.PnPoint, k: int, bound: int = 12) -> bool:
         return _member_by_oracle(pn.PnPoint(point.n, point.base, moved), k, bound)
     charge = CentralCharge((t0.z, t1.z))
     for j in (kk, kk + 1):
-        rep = pn.helix_module(1, j)[0] if point.n == 1 else pn.s_rep(point.n, j)
-        if rep_lab.theta_test(rep, charge, bound).verdict != "stable":
+        if rep_lab.theta_test(pn.helix_module(point.n, j)[0], charge, bound).verdict != "stable":
             return False
     return True
 
@@ -311,8 +304,7 @@ def _orbit_by_solver(point: pn.PnPoint) -> bool:
     return gl_action.orbit_solve(ref, point) is not None
 
 
-def suite_overlap() -> SuiteResult:
-    start = time.perf_counter()
+def suite_overlap() -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for n in (2, 3):
@@ -338,17 +330,16 @@ def suite_overlap() -> SuiteResult:
                         f"n={n} chart {k}: orbit {orbit} disagrees with the orbit "
                         f"solver at {point.to_data()}"
                     )
-    return SuiteResult("overlap", cases, tuple(failures), time.perf_counter() - start)
+    return cases, failures
 
 
 # -- suite 6: every presentation has a stable adjacent pair -----------------
 
 
-def suite_stable_pair() -> SuiteResult:
+def suite_stable_pair() -> tuple[int, list[str]]:
     """The search finds the base chart, and the membership of every chart
     within two of the base is the base alone or, in the reference orbit,
     every chart, by the closed form and by the oracle alike."""
-    start = time.perf_counter()
     failures = []
     cases = 0
     for trial in range(1000):
@@ -381,7 +372,7 @@ def suite_stable_pair() -> SuiteResult:
                 )
         except Exception as exc:  # any failure is a reportable case
             failures.append(f"trial={trial} base={base}: {type(exc).__name__}: {exc}")
-    return SuiteResult("stable-pair", cases, tuple(failures), time.perf_counter() - start)
+    return cases, failures
 
 
 # -- suite 7: the length-three fixture --------------------------------------
@@ -398,8 +389,7 @@ def _triangle_collection() -> xc.ExcCollection:
     return xc.make_collection(objs, table, euler)
 
 
-def suite_triangle_fixture() -> SuiteResult:
-    start = time.perf_counter()
+def suite_triangle_fixture() -> tuple[int, list[str]]:
     failures = []
 
     def check(label: str, got, want) -> None:
@@ -447,7 +437,7 @@ def suite_triangle_fixture() -> SuiteResult:
         check("violated subset", violated.subset, (0, 1, 2))
         check("violated bound", violated.alpha, -1)
 
-    return SuiteResult("triangle-fixture", 9, tuple(failures), time.perf_counter() - start)
+    return 9, failures
 
 
 # -- suite 8: filtration invariants -----------------------------------------
@@ -462,8 +452,7 @@ def _random_charge(rng: random.Random) -> CentralCharge:
     return CentralCharge(tuple(values))
 
 
-def suite_hn() -> SuiteResult:
-    start = time.perf_counter()
+def suite_hn() -> tuple[int, list[str]]:
     rng = random.Random(613)
     failures = []
     cases = 0
@@ -503,14 +492,13 @@ def suite_hn() -> SuiteResult:
         by_slope = rep_lab.hn(m, charge, 12, extractor="slope")
         if [f.dims for f, _ in by_slope] != [f.dims for f, _ in factors]:
             failures.append(f"{tag}: slope and phase extractors disagree")
-    return SuiteResult("hn", cases, tuple(failures), time.perf_counter() - start)
+    return cases, failures
 
 
 # -- suite 9: chart overlap witnesses ---------------------------------------
 
 
-def suite_witness() -> SuiteResult:
-    start = time.perf_counter()
+def suite_witness() -> tuple[int, list[str]]:
     failures = []
 
     def check(label: str, got, want) -> None:
@@ -543,14 +531,13 @@ def suite_witness() -> SuiteResult:
     check("triple witness at 1, shifts", w1.shifts, (3, 1, 0))
     check("triple witness at 1, classes", _classes(w1.mutated), ((1, 0, 0), (0, 0, 1), (0, -1, 3)))
 
-    return SuiteResult("witness", 14, tuple(failures), time.perf_counter() - start)
+    return 14, failures
 
 
 # -- suite 10: the helix translation on presentations -----------------------
 
 
-def suite_aut() -> SuiteResult:
-    start = time.perf_counter()
+def suite_aut() -> tuple[int, list[str]]:
     failures = []
     cases = 0
     for n in (1, 2, 3):
@@ -581,14 +568,13 @@ def suite_aut() -> SuiteResult:
                     failures.append(
                         f"n=1 trial={trial}: membership at {k} and {k + 3 * t} differ"
                     )
-    return SuiteResult("aut", cases, tuple(failures), time.perf_counter() - start)
+    return cases, failures
 
 
 # -- suite 11: the comparison bound -----------------------------------------
 
 
-def suite_metric() -> SuiteResult:
-    start = time.perf_counter()
+def suite_metric() -> tuple[int, list[str]]:
     failures = []
     p = pn.sigma_minus1(2)
 
@@ -611,7 +597,7 @@ def suite_metric() -> SuiteResult:
     if not math.isclose(d_scale, 1.0, rel_tol=0, abs_tol=1e-3):
         failures.append(f"scaling by 2.7183 gave distance {d_scale}, expected about 1")
 
-    return SuiteResult("metric", 3, tuple(failures), time.perf_counter() - start)
+    return 3, failures
 
 
 # -- driver -----------------------------------------------------------------
@@ -636,7 +622,9 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}, pick from {', '.join(SUITE_NAMES)}")
-    return _SUITES[name]()
+    start = time.perf_counter()
+    cases, failures = _SUITES[name]()
+    return SuiteResult(name, cases, tuple(failures), time.perf_counter() - start)
 
 
 def run_all() -> list[SuiteResult]:

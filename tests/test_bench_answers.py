@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +28,15 @@ DIGESTS = {
 }
 
 
-def _bench_runner():
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_runner():
+    return _bench_module("run")
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -47,3 +52,28 @@ def test_tiny_pass_answers_check(workload):
     assert result["failed"] == 0
     assert result["ops"] > 0
     assert result["digest"] == DIGESTS[workload]
+
+
+def test_every_cli_argv_shape_of_the_benchmark_runs():
+    # the seed-1 tiny pass reaches only the first CLI turns, so each command
+    # chart-queries sends is run here on both arrow counts and every base,
+    # with inputs drawn as its `inputs` draws them, and checked as it checks
+    wl = _bench_module("workloads")
+    queries = wl.ChartQueries(tiny=True)
+    rng = random.Random("cli-argv-shapes")
+    for cmd in dict.fromkeys(wl.CLI_TURNS):
+        for n in wl.WINDOW:
+            for base in wl.BASES:
+                if cmd == "orbit":
+                    p = wl.rank_two_point(rng, n, base)
+                else:
+                    p = wl.pn._sample_point(n, base, rng)
+                extra = {
+                    "chart": base + rng.choice(wl.OVERLAP_OFFSETS),
+                    "direction": rng.choice((wl.xc.LEFT, wl.xc.RIGHT)),
+                    "charges": (wl.pn._random_half_plane(rng), wl.pn._random_half_plane(rng)),
+                    "target": wl.moved(rng, p.tokens),
+                }
+                code, out = wl.run_cli(queries.cli_argv(cmd, p, extra))
+                assert code in (0, 1), (cmd, p)
+                queries.check_cli(cmd, p, extra, code, out)

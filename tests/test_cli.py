@@ -150,7 +150,6 @@ def test_oracle_bound_leaves_the_environment_alone(capsys):
         ["member", "--point", INTERIOR, "--chart", "2"],
         ["hn", "--rep", "rep p2 1 2\n1\n0\n0\n1\n", "--charge=-1,1+1i"],
         ["stable-pair", "--point", SIGMA, "--window", "2"],
-        ["overlap", "--arrows", "2", "--chart", "0", "--other", "1", "--samples", "2"],
     ):
         code, _, _ = run(capsys, argv + ["--oracle-bound", "12"])
         assert code == 0
@@ -246,7 +245,6 @@ def test_overlap_scan_reports_agreement(capsys):
             "--other", "1",
             "--samples", "20",
             "--seed", "5",
-            "--oracle-bound", "12",
         ],
     )
     assert code == 0
@@ -284,10 +282,24 @@ def test_orbit_solves_a_double_turn(capsys):
 
 
 def test_orbit_rejects_a_winding_twist(capsys):
-    twist = '{"n":2,"base":0,"tokens":[{"z":"-1","w":0},{"z":"1+1i","w":0}]}'
+    # one more turn on the second token: a gap of two, off the orbit
+    twist = '{"n":2,"base":0,"tokens":[{"z":"-1","w":-1},{"z":"1+1i","w":1}]}'
     code, out, _ = run(capsys, ["orbit", "--point", SIGMA, "--target", twist])
     assert code == 1
     assert out == '{"related":false}\n'
+    # a twist that makes the phases fall presents no point at all
+    fallen = '{"n":2,"base":0,"tokens":[{"z":"-1","w":0},{"z":"1+1i","w":0}]}'
+    code, out, err = run(capsys, ["orbit", "--point", SIGMA, "--target", fallen])
+    assert code == 2 and out == ""
+    assert err.startswith("error: phase order is wrong for a chart presentation")
+
+
+@pytest.mark.parametrize("command", [["member", "--chart", "0"], ["stable-pair"]])
+def test_a_point_whose_phases_fall_is_refused_at_load(capsys, command):
+    fallen = '{"n":2,"base":0,"tokens":[{"z":"1+1i","w":0},{"z":"-1","w":-1}]}'
+    code, out, err = run(capsys, [*command, "--point", fallen])
+    assert code == 2 and out == ""
+    assert err.startswith("error: phase order is wrong for a chart presentation")
 
 
 @pytest.mark.parametrize(
@@ -304,6 +316,15 @@ def test_orbit_refuses_points_on_different_charts(capsys, target):
         "error: orbit needs both points on one chart: "
         f"n=2 base=0 and n={want['n']} base={want['base']}\n"
     )
+
+
+def test_overlap_takes_no_oracle_bound(capsys):
+    # the scan reads closed forms only; member and stable-pair keep the flag
+    argv = ["overlap", "--arrows", "2", "--chart", "0", "--other", "1", "--oracle-bound", "12"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oracle-bound 12" in capsys.readouterr().err
 
 
 def test_overlap_refuses_a_negative_sample_count(capsys):
@@ -354,6 +375,9 @@ def _with(base: str, **fields) -> str:
     return json.dumps({**json.loads(base), **fields})
 
 
+RESOLVE = ["mutate", "--collection", UNKNOWN_PAIR, "--index", "0", "--direction", "right", "--resolve"]
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -394,6 +418,13 @@ def _with(base: str, **fields) -> str:
         (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0": {"0": 3}})], "table"),
         (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1": {"x": 3}})], "table"),
         (["classify", "--collection", _with(UNKNOWN_PAIR, table={"0,1": {"0": 1, "-0": 2}})], "table"),
+        ([*RESOLVE, "a,b:0=3"], "--resolve"),
+        ([*RESOLVE, "0:0=3"], "--resolve"),
+        ([*RESOLVE, "0,1:0=3,x=0"], "--resolve"),
+        ([*RESOLVE, "0,1:0=3,0=0"], "--resolve"),
+        ([*RESOLVE, "0,1:0=3", "--resolve", "0,1:0=3"], "--resolve"),
+        (["witness", "--pn", "2", "--index", "0", "--resolve", "1:0=2"], "--resolve"),
+        (["build", "--pn", "2", "--shifts", "a,0", "--charges=-1,1+1i"], "--shifts"),
     ],
     ids=[
         "tokens-int",
@@ -424,6 +455,13 @@ def _with(base: str, **fields) -> str:
         "key-single",
         "degree-letter",
         "degree-minus-zero",
+        "resolve-letters",
+        "resolve-single",
+        "resolve-degree-letter",
+        "resolve-degree-twice",
+        "resolve-pair-twice",
+        "witness-resolve-single",
+        "shifts-letter",
     ],
 )
 def test_badly_shaped_json_is_a_usage_error(capsys, argv, field):

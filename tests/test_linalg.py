@@ -392,7 +392,6 @@ def test_exact_kernel_matches_the_fraction_reference():
         assert rref == ref, rows
         assert _all_fractions(rref)
         assert _linalg.int_rank(rows) == len(ref_pivots)
-        assert _linalg.row_space_basis(rows) == ref[: len(ref_pivots)]
         ncols = len(rows[0]) if rows else 0
         kernel = _linalg.frac_kernel(rows, ncols)
         assert kernel == _reference_kernel(rows, ncols), rows
@@ -402,7 +401,6 @@ def test_exact_kernel_matches_the_fraction_reference():
         scaled = _rescaled(rows, rng)
         assert _linalg.frac_rref(scaled) == (rref, pivots), rows
         assert _linalg.frac_kernel(scaled, ncols) == kernel, rows
-        assert _linalg.row_space_basis(scaled) == ref[: len(ref_pivots)]
         assert _linalg.span_and_complement(scaled, ncols) == _linalg.span_and_complement(rows, ncols)
         if not rows or not ncols:
             continue

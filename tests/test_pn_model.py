@@ -50,6 +50,12 @@ def test_helix_modules_single_arrow_cycle():
     assert s6 == s0 - 2
     dims = [pn_model.helix_module(1, i)[0].dims for i in range(3)]
     assert dims == [(1, 0), (0, 1), (1, 1)]
+    # the recursion gives one period and its duals; the (1, 1) module is the
+    # identity map
+    assert [pn_model.s_rep(1, k).dims for k in range(-2, 4)] == [(0, 1), (1, 1), (1, 0)] * 2
+    q = kronecker_quiver(1)
+    assert pn_model.helix_module(1, 2)[0] == rep_lab.make_rep(q, (1, 1), [[[Fraction(1)]]])
+    assert pn_model.s_rep(1, -1) == pn_model.s_rep(1, 2)
 
 
 def test_backward_module_dims():
@@ -57,8 +63,11 @@ def test_backward_module_dims():
     assert dims == [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)]
     forward = [pn_model.s_rep(2, k).dims for k in range(2, 6)]
     assert forward == [(1, 2), (2, 3), (3, 4), (4, 5)]
-    with pytest.raises(ValueError):
-        pn_model.s_rep(1, 2)
+    # one arrow: the reflections stop at the sink simple S_-2, so the
+    # recursion answers for -2 <= k <= 3 and refuses the rest
+    for k in (-3, 4):
+        with pytest.raises(ValueError):
+            pn_model.s_rep(1, k)
 
 
 def test_s_rep_reaches_the_dual_of_the_largest_kernel():
@@ -190,16 +199,35 @@ def _random_element(rng):
 
 
 def test_membership_rejects_bad_presentations():
-    down = pn_model.PnPoint(
-        2, 0, (PhaseToken(gauss(-1), 1), PhaseToken(gauss(1, 1), 0))
-    )
-    with pytest.raises(ValueError):
-        pn_model.theta_member(down, 0, 12)
-    collinear = pn_model.PnPoint(
-        2, 0, (PhaseToken(gauss(0, 1), 0), PhaseToken(gauss(0, 2), 0))
-    )
-    with pytest.raises(ValueError):
-        pn_model.theta_member(collinear, 0, 12)
+    # a pair is a chart presentation only when S_{b+1} has the higher phase,
+    # so the point type refuses the rest before membership is asked
+    for tokens in (
+        (PhaseToken(gauss(-1), 1), PhaseToken(gauss(1, 1), 0)),  # winding falls
+        (PhaseToken(gauss(0, 1), 0), PhaseToken(gauss(0, 2), 0)),  # one phase
+        (PhaseToken(gauss(-1), 0), PhaseToken(gauss(1, 1), 0)),  # phase falls
+    ):
+        with pytest.raises(ValueError, match="phase order"):
+            pn_model.PnPoint(2, 0, tokens)
+
+
+def test_presentations_are_the_pairs_of_increasing_phase():
+    # the rule the oracle reference reads off the winding gap and the cross
+    # product, a gap above zero or a zero gap with cross(z0, z1) > 0, is the
+    # phase order PnPoint checks
+    rng = random.Random(23)
+    kept = 0
+    for _ in range(400):
+        toks = tuple(PhaseToken(pn_model._random_half_plane(rng), rng.randint(-1, 1)) for _ in range(2))
+        delta, c = toks[1].winding - toks[0].winding, pn_model._cross(toks[0].z, toks[1].z)
+        valid = delta > 0 or (delta == 0 and c > 0)
+        try:
+            pn_model.PnPoint(2, 0, toks)
+        except ValueError:
+            assert not valid, toks
+        else:
+            assert valid, toks
+            kept += 1
+    assert 100 < kept < 300
 
 
 def test_degenerate_ray_membership():

@@ -432,7 +432,8 @@ def _two_vertex_primes(m: rep_lab.QuiverRep) -> list[int]:
 
 def _scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
     """The scan with every chosen prime over every sink dimension: the
-    candidates found over all of them are then certified together."""
+    candidates found over all of them are then certified by the lifts of
+    one prime at a time, with the joint-kernel sources after the first."""
     src = m.quiver.arrows[0][0]
     dualize = m.dims[src] < m.dims[1 - src]
     work = rep_lab.dual(m) if dualize else m
@@ -443,7 +444,10 @@ def _scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
             cands = {(m.dims[0] - v[1], m.dims[1] - v[0]): w for v, w in cands.items()}
         per_prime.append((p, cands))
     surviving = set.intersection(*(set(cands) for _, cands in per_prime))
-    witnesses = rep_lab._two_vertex_witnesses(m, surviving, per_prime, dualize)
+    witnesses = {}
+    for i, (p, cands) in enumerate(per_prime):
+        open_vecs = surviving - set(witnesses)
+        witnesses.update(rep_lab._two_vertex_witnesses(m, open_vecs, p, cands, dualize, joint=i == 0))
     return rep_lab.SubrepScan(
         tuple(sorted(witnesses)), witnesses, tuple(sorted(surviving - set(witnesses)))
     )
@@ -812,7 +816,8 @@ def test_subquotient_against_the_sub_and_quotient_constructions():
             bases = []
             for d in m.dims:
                 rows = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(rng.randint(0, d))]
-                bases.append(_linalg.row_space_basis(rows) if rows else [])
+                rref, pivots = _linalg.frac_rref(rows)
+                bases.append(rref[: len(pivots)])
             got = _outcome(rep_lab._subquotient, m, none, bases)
             assert got == _outcome(_sub_reference, m, bases)
             refused += isinstance(got, str)
