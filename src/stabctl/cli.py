@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -58,20 +57,26 @@ def _load_point(value: str) -> pn_model.PnPoint:
 
 
 def _parse_quiver(spec: str) -> Quiver:
-    if spec.startswith("p") and spec[1:].isdigit():
+    """pN, or N;S>T,S>T,... with integers spelled as in a table key, spaces
+    around them allowed."""
+    if spec.startswith("p") and spec[1:].isdecimal():
         return kronecker_quiver(int(spec[1:]))
     head, _, arrow_part = spec.partition(";")
     arrows = []
     for chunk in arrow_part.split(",") if arrow_part else ():
-        match = re.fullmatch(r"\s*(\d+)\s*>\s*(\d+)\s*", chunk)
-        if match is None:
-            raise ValueError(f"quiver arrow {chunk!r} is not S>T with integer vertices")
-        arrows.append((int(match[1]), int(match[2])))
-    return Quiver("q", int(head), tuple(arrows))
+        try:
+            s, t = (xc._key_int(end.strip()) for end in chunk.split(">"))
+        except (TypeError, ValueError):
+            raise TypeError(f"quiver arrow {chunk!r} is not S>T with integer vertices") from None
+        arrows.append((s, t))
+    return Quiver("q", xc._key_int(head.strip()), tuple(arrows))
 
 
-def _parse_charges(text: str) -> tuple[GaussianRational, ...]:
-    return tuple(GaussianRational.parse(part) for part in text.split(","))
+def _parse_charges(option: str, text: str) -> tuple[GaussianRational, ...]:
+    try:
+        return tuple(GaussianRational.parse(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"malformed {option!r} field: {exc}") from None
 
 
 def _read_resolutions(items) -> dict[tuple[int, int], dict[int, int]]:
@@ -129,7 +134,7 @@ def cmd_chart(args) -> int:
 def cmd_build(args) -> int:
     c = _load_collection(args)
     shifts = xc._field("--shifts", args.shifts, lambda v: tuple(map(xc._key_int, v.split(","))))
-    point = ca.build_stability(c, shifts, _parse_charges(args.charges))
+    point = ca.build_stability(c, shifts, _parse_charges("--charges", args.charges))
     _emit(point.to_data())
     return 0
 
@@ -142,9 +147,9 @@ def cmd_member(args) -> int:
 
 
 def cmd_hn(args) -> int:
-    quiver = _parse_quiver(args.quiver)
+    quiver = xc._field("--quiver", args.quiver, _parse_quiver)
     rep = rep_lab.parse_rep(_read_source(args.rep, "rep "), quiver)
-    charge = CentralCharge(_parse_charges(args.charge))
+    charge = CentralCharge(_parse_charges("--charge", args.charge))
     factors = rep_lab.hn(rep, charge, bound=args.oracle_bound)
     _emit(
         {

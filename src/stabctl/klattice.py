@@ -36,7 +36,7 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-_RAT_RE = _re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = _re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def parse_rational(text: str) -> Fraction:

@@ -93,8 +93,10 @@ class QuiverRep:
     def _memo(self) -> dict:
         """Per-instance results that depend only on the representation.
 
-        The dual ("dual"), the lcm of the denominators ("lcm") and the
-        entries mod each prime p (key p).  Like the hash they are kept on the
+        The dual ("dual"), the lcm of the denominators ("lcm"), the
+        entries mod each prime p (key p) and, as the target of a reduced Hom
+        system, the left kernel of the stacked arrows mod p with their rank
+        (key ("left-kernel", p)).  Like the hash they are kept on the
         instance, outside the fields, so equality and hashing stay structural.
         """
         try:
@@ -247,11 +249,11 @@ def _denominator_lcm(m: QuiverRep) -> int:
     return memo["lcm"]
 
 
-def _arrows_mod_p(m: QuiverRep, p: int) -> list[np.ndarray]:
-    """m's arrow matrices mod p, for a prime dividing no denominator.
+def _flat_mod_p(m: QuiverRep, p: int) -> np.ndarray:
+    """m's entries mod p, arrow after arrow and row by row, kept on m.
 
-    The entries are converted once per prime and kept on m as one
-    read-only array, which the matrices are views of.
+    The entries are converted once per prime, for a prime dividing no
+    denominator, into one read-only array.
     """
     if _denominator_lcm(m) % p == 0:
         raise ValueError(f"p = {p} divides a denominator, so the rep has no reduction mod p")
@@ -260,12 +262,27 @@ def _arrows_mod_p(m: QuiverRep, p: int) -> list[np.ndarray]:
         flat = _matrix_mod_p([[x for mat in m.matrices for row in mat for x in row]], p)[0]
         flat.flags.writeable = False
         memo[p] = flat
-    arrows, at = [], 0
+    return memo[p]
+
+
+def _arrows_mod_p(m: QuiverRep, p: int) -> list[np.ndarray]:
+    """m's arrow matrices mod p, as views of _flat_mod_p."""
+    flat, arrows, at = _flat_mod_p(m, p), [], 0
     for s, t in m.quiver.arrows:
         size = m.dims[t] * m.dims[s]
-        arrows.append(memo[p][at : at + size].reshape(m.dims[t], m.dims[s]))
+        arrows.append(flat[at : at + size].reshape(m.dims[t], m.dims[s]))
         at += size
     return arrows
+
+
+def _stack_mod_p(m: QuiverRep, p: int) -> np.ndarray:
+    """m's arrows mod p as one (arrows, d_snk, d_src) view of _flat_mod_p.
+
+    For a parallel two-vertex quiver.  The shape comes from the dims, since
+    a stack of size zero cannot be reshaped by -1.
+    """
+    src = _source_vertex(m.quiver)
+    return _flat_mod_p(m, p).reshape(len(m.quiver.arrows), m.dims[1 - src], m.dims[src])
 
 
 def _source_vertex(q: Quiver) -> int | None:
@@ -276,6 +293,23 @@ def _source_vertex(q: Quiver) -> int | None:
     if len(srcs) != 1:
         return None
     return srcs.pop()
+
+
+def _target_kernel(n: QuiverRep, p: int) -> tuple[np.ndarray, int]:
+    """(Y, rank sb) for the stacked arrows sb of n mod p, kept on n.
+
+    Y is the left kernel of sb, one row per vector, and depends on the
+    target of _hom_mod_p_reduced alone, so every source shares it.
+    """
+    memo = n._memo()
+    key = ("left-kernel", p)
+    if key not in memo:
+        stack = _stack_mod_p(n, p)
+        sb = stack.reshape(stack.shape[0] * stack.shape[1], stack.shape[2])
+        y = _linalg.mod_p_kernel(sb.T, p)
+        y.flags.writeable = False
+        memo[key] = (y, sb.shape[0] - y.shape[0])
+    return memo[key]
 
 
 def _hom_mod_p_reduced(m: QuiverRep, n: QuiverRep, p: int) -> int:
@@ -289,14 +323,12 @@ def _hom_mod_p_reduced(m: QuiverRep, n: QuiverRep, p: int) -> int:
     """
     src = _source_vertex(m.quiver)
     snk = 1 - src
-    narr = len(m.quiver.arrows)
-    sb = np.vstack(_arrows_mod_p(n, p))
-    y = _linalg.mod_p_kernel(sb.T, p)
-    rank_sb = sb.shape[0] - y.shape[0]
-    a3 = np.stack(_arrows_mod_p(m, p))
-    y3 = y.reshape(y.shape[0], narr, n.dims[snk])
-    # row (r, j), column (i, k): sum over a of Y[r, a, i] A_a[k, j]
-    t = np.einsum("rai,akj->rjik", y3, a3) % p
+    y, rank_sb = _target_kernel(n, p)
+    y3 = y.reshape(y.shape[0], len(m.quiver.arrows), n.dims[snk])
+    # row (r, j), column (i, k): sum over a of Y[r, a, i] A_a[k, j], each a
+    # sum of narr products below p^2, far from int64 overflow; mod_p_rank
+    # reduces its own copy
+    t = np.einsum("rai,akj->rjik", y3, _stack_mod_p(m, p))
     tmat = t.reshape(y.shape[0] * m.dims[src], n.dims[snk] * m.dims[snk])
     sink_hom = n.dims[snk] * m.dims[snk] - _linalg.mod_p_rank(tmat, p)
     return m.dims[src] * (n.dims[src] - rank_sb) + sink_hom
@@ -398,7 +430,7 @@ def _enum_two_vertex(m: QuiverRep, p: int, sinks=None):
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
-    amats = np.stack(_arrows_mod_p(m, p))
+    amats = _stack_mod_p(m, p)
     found: dict[tuple[int, int], np.ndarray] = {}
     for e in range(d_snk + 1) if sinks is None else sinks:
         low = 0  # (u, e) is found for every u < low

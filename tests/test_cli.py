@@ -204,7 +204,37 @@ def test_a_malformed_quiver_arrow_is_a_usage_error(capsys, chunk):
     argv = ["hn", "--quiver", f"2;0>1,{chunk}", "--rep", "rep q 1 1\n1\n", "--charge=-1,1+1i"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == f"error: quiver arrow {chunk!r} is not S>T with integer vertices\n"
+    assert err == f"error: malformed '--quiver' field: quiver arrow {chunk!r} is not S>T with integer vertices\n"
+
+
+HN_P2 = ["hn", "--rep", "rep q 1 1\n1\n"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([*HN_P2, "--charge=-1,1+1i", "--quiver", "x;0>1"], "'--quiver' field: 'x' is not a plain integer"),
+        ([*HN_P2, "--charge=-1,1+1i", "--quiver", "+2;0>1"], "'--quiver' field: '+2' is not a plain integer"),
+        ([*HN_P2, "--charge=-1,1+1i", "--quiver", "p\u00b2"], "'--quiver' field: 'p\u00b2' is not a plain integer"),
+        (
+            [*HN_P2, "--charge=-1,1+1i", "--quiver", "2;01>1"],
+            "'--quiver' field: quiver arrow '01>1' is not S>T with integer vertices",
+        ),
+        ([*HN_P2, "--charge=-1,a", "--quiver", "2;0>1"], "'--charge' field: bad rational literal: 'a'"),
+        ([*HN_P2, "--charge=-1,1/0i", "--quiver", "2;0>1"], "'--charge' field: bad rational literal: '1/0'"),
+        (["build", "--pn", "2", "--shifts", "1,0", "--charges=a,b"], "'--charges' field: bad rational literal: 'a'"),
+        (["build", "--pn", "2", "--shifts", "1,0", "--charges=1/0,1"], "'--charges' field: bad rational literal: '1/0'"),
+    ],
+    ids=["quiver-head", "quiver-sign", "quiver-superscript", "quiver-zero-led", "charge", "charge-zero-den", "charges", "charges-zero-den"],
+)
+def test_quiver_and_charge_errors_name_the_option(capsys, argv, err):
+    code, out, got = run(capsys, argv)
+    assert (code, out, got) == (2, "", f"error: malformed {err}\n")
+
+
+def test_a_quiver_spelled_with_spaces_gives_the_same_answer(capsys):
+    outs = {run(capsys, [*HN_P2, "--charge=-1,1+1i", "--quiver", q]) for q in ("2;0>1", " 2 ; 0 > 1 ")}
+    assert outs == {(0, '{"factors":[{"charge":"1i","dims":[1,1]}]}\n', "")}
 
 
 def test_hn_takes_no_extractor_option(capsys):

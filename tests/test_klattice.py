@@ -64,6 +64,11 @@ def test_parse_errors():
         GaussianRational.parse("")
     with pytest.raises(ValueError):
         parse_rational("x")
+    # a zero denominator is a bad literal, not a ZeroDivisionError
+    for text in ("1/0", "-3/00", "2+1/0i"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            GaussianRational.parse(text)
+    assert parse_rational("3/010") == Fraction(3, 10)
 
 
 def test_half_plane_boundary():

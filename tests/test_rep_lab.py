@@ -159,6 +159,70 @@ def test_hom_ext_reduced_system_with_a_singular_target_stack(monkeypatch):
         assert (he.hom, he.ext) == _hom_ext_by_elimination(a, b)
 
 
+def _sparse_rep(quiver, rng, dims):
+    """Entries mostly zero, so the stacked arrows are often singular."""
+    mats = [
+        [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dims[s])] for _ in range(dims[t])]
+        for s, t in quiver.arrows
+    ]
+    return rep_lab.make_rep(quiver, dims, mats)
+
+
+def test_reduced_system_against_the_full_system():
+    # parallel p1/p2/p3 pairs, either way round, with zero dims on either
+    # side and singular target stacks; the reduced system reads the target's
+    # left kernel from its memo, so each target is also solved cold
+    rng = random.Random(60)
+    quivers = [kronecker_quiver(k) for k in (1, 2, 3)] + [Quiver("back", 2, ((1, 0), (1, 0)))]
+    cases = [(kronecker_quiver(2), (2, 4), (7, 3)), (kronecker_quiver(2), (3, 1), (0, 0))]
+    for quiver in quivers:
+        for _ in range(25):
+            dm, dn = ((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2))
+            cases.append((quiver, dm, dn))
+    singular = 0
+    for quiver, dm, dn in cases:
+        make = rng.choice((_sparse_rep, lambda q, r, dims: _random_rep(q, r, dims=dims)))
+        m, n = make(quiver, rng, dm), make(quiver, rng, dn)
+        for p in rep_lab.LARGE_PRIMES:
+            want = rep_lab._hom_mod_p_full(m, n, p)
+            cold = rep_lab.make_rep(quiver, n.dims, n.matrices)
+            assert rep_lab._hom_mod_p_reduced(m, cold, p) == want
+            assert rep_lab._hom_mod_p_reduced(m, n, p) == want
+            assert ("left-kernel", p) in n._memo()
+            assert rep_lab._hom_mod_p_reduced(m, n, p) == want
+            y, rank_sb = rep_lab._target_kernel(n, p)
+            singular += rank_sb < len(quiver.arrows) * n.dims[1 - rep_lab._source_vertex(quiver)]
+    assert singular >= 100
+
+
+def test_each_target_kernel_is_solved_once_per_prime(monkeypatch):
+    # fresh instances of the n = 2 helix modules have cold memos; over every
+    # ordered pair each target's left kernel is eliminated once per prime
+    q = kronecker_quiver(2)
+    mods = [pn_model.helix_module(2, k)[0] for k in range(-3, 4)]
+    fresh = [rep_lab.make_rep(q, m.dims, m.matrices) for m in mods]
+    rep_lab.hom_ext.cache_clear()
+    kernels, targets = [], set()
+    kernel, reduced = _linalg.mod_p_kernel, rep_lab._hom_mod_p_reduced
+    monkeypatch.setattr(_linalg, "mod_p_kernel", lambda mat, p: kernels.append(p) or kernel(mat, p))
+    monkeypatch.setattr(
+        rep_lab, "_hom_mod_p_reduced", lambda m, n, p: targets.add((id(n), p)) or reduced(m, n, p)
+    )
+    table = {(i, j): rep_lab.hom_ext(a, b) for i, a in enumerate(fresh) for j, b in enumerate(fresh)}
+    assert len(kernels) == len(targets) <= 2 * len(fresh)
+    rep_lab.hom_ext.cache_clear()
+    # a second pass on the warm instances eliminates no kernel at all
+    again = {(i, j): rep_lab.hom_ext(a, b) for i, a in enumerate(fresh) for j, b in enumerate(fresh)}
+    assert again == table and len(kernels) == len(targets)
+    # what the memo keeps leaves equality, hashing and the dual alone
+    for m, f in zip(mods, fresh):
+        warm = rep_lab.make_rep(q, m.dims, m.matrices)
+        assert f == warm and warm == f and hash(f) == hash(warm) == hash((q, m.dims, m.matrices))
+        assert rep_lab.dual(rep_lab.dual(f)) is f
+    assert any(key[0] == "left-kernel" for f in fresh for key in f._memo() if isinstance(key, tuple))
+    rep_lab.hom_ext.cache_clear()
+
+
 def test_hom_ext_full_modular_system_on_three_vertices(monkeypatch):
     # 121 and 132 unknowns, both certified by the first prime
     rng = random.Random(56)
@@ -1163,8 +1227,15 @@ def test_dual_and_arrows_mod_p_are_kept_on_the_rep():
     assert [x.tolist() for x in arrows] == [rep_lab._matrix_mod_p(mat, p).tolist() for mat in a.matrices]
     assert rep_lab._arrows_mod_p(a, p)[0].base is arrows[0].base
     assert not any(x.flags.writeable for x in arrows)
+    # the stack of a parallel quiver is a view of the same array, shaped by
+    # the dims also when it is empty
+    stack = rep_lab._stack_mod_p(a, p)
+    assert stack.base is arrows[0].base and stack.shape == (3, 2, 3)
+    assert [x.tolist() for x in stack] == [x.tolist() for x in arrows]
     for dims, shape in (((0, 2), (2, 0)), ((3, 0), (0, 3))):
-        assert [x.shape for x in rep_lab._arrows_mod_p(_random_rep(q, rng, dims=dims), p)] == [shape] * 3
+        r = _random_rep(q, rng, dims=dims)
+        assert [x.shape for x in rep_lab._arrows_mod_p(r, p)] == [shape] * 3
+        assert rep_lab._stack_mod_p(r, p).shape == (3, *shape)
     # what is kept on a rep leaves equality, hashing and the cache keys alone
     b = rep_lab.make_rep(q, a.dims, a.matrices)
     assert a == b and b == a and repr(a) == repr(b)
