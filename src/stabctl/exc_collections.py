@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .klattice import EulerMatrix, euler_pair
 
@@ -39,17 +39,6 @@ class ExcObject:
     label: str
     kclass: KClass
     shift: int = 0
-
-    def shifted(self, k: int) -> ExcObject:
-        if k == 0:
-            return self
-        sign = -1 if k % 2 else 1
-        return replace(
-            self,
-            label=f"{self.label}[{k}]",
-            kclass=tuple(sign * x for x in self.kclass),
-            shift=self.shift - k,
-        )
 
 
 def chi_of_entry(entry: dict[int, int]) -> int:
@@ -151,10 +140,11 @@ class ExcCollection:
     Invariants: labels are distinct; every class has length euler.rank and
     chi(E_i, E_i) = 1; every backward pairing chi(E_j, E_i), j > i, is 0;
     every exact entry (i, j) sums to chi(E_i, E_j).  `make_collection`
-    checks them on outside input.  `mutate`, `shift_objects` and
-    `resolve_entry` build their results directly, since each keeps them by
-    theory (see `mutate` for the three-line proof; Gorodentsev and Rudakov
-    1987; Bondal 1990).
+    checks them on outside input.  `mutate` and `resolve_entry` build their
+    results directly, since each keeps them by theory (see `mutate` for the
+    three-line proof; Gorodentsev and Rudakov 1987; Bondal 1990).  No
+    shifted collection is built: the chart layer reads a shift p off the
+    table, as the degree k + p_i - p_j of entry (i, j).
     """
 
     objects: tuple[ExcObject, ...]
@@ -333,26 +323,6 @@ def classify(c: ExcCollection) -> CollectionFlags:
         if len(e) > 1:
             regular = False
     return CollectionFlags(strong=strong, ext=ext, regular=regular, orthogonal=orthogonal)
-
-
-def shift_objects(c: ExcCollection, p) -> ExcCollection:
-    """The collection {E_i[p_i]} with its table in the shifted grading.
-
-    A shift by k multiplies a class by (-1)^k and moves the degrees of an
-    entry (i, j) by p_i - p_j, so every pairing and every Euler sum changes
-    by the same sign and the collection stays valid.  Only the new labels
-    can collide, so they alone are checked."""
-    p = tuple(int(x) for x in p)
-    if len(p) != c.size:
-        raise ValueError("shift vector length mismatch")
-    objects = tuple(o.shifted(k) for o, k in zip(c.objects, p))
-    if len({o.label for o in objects}) != len(objects):
-        raise ValueError("duplicate labels")
-    entries: dict[tuple[int, int], dict[int, int] | None] = {
-        (i, j): None if e is None else {k + p[i] - p[j]: d for k, d in e.items()}
-        for (i, j), e in c.table._entries.items()
-    }
-    return ExcCollection(objects, HomTable._of_clean(c.size, entries), c.euler)
 
 
 # -- serialization ---------------------------------------------------------

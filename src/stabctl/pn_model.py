@@ -302,21 +302,18 @@ def aut_shift(p: PnPoint, t: int) -> PnPoint:
 def fixed_basis_charge(
     point: PnPoint,
 ) -> tuple[GaussianRational, GaussianRational]:
-    """Charge of the two vertex classes, independent of the chart used."""
+    """Charge of the two vertex classes, independent of the chart used.
+
+    Consecutive helix classes (a, b), (c, d) have determinant ad - bc = -1:
+    so do S_0 = (-1, 0) and S_1 = (0, 1), and the step (S_k, S_{k+1}) ->
+    (S_{k+1}, n S_{k+1} - S_k) keeps it in either direction.  So the charges w of
+    the vertex classes, with w.(a, b) = v0 and w.(c, d) = v1, are
+    (-d v0 + b v1, c v0 - a v1).
+    """
     v0, v1 = (t.charge_value() for t in point.tokens)
-    c0 = s_class(point.n, point.base)
-    c1 = s_class(point.n, point.base + 1)
-    cm = [
-        [Fraction(c0[0]), Fraction(c1[0])],
-        [Fraction(c0[1]), Fraction(c1[1])],
-    ]
-    inv = _linalg.frac_inverse(cm)
-    if inv is None:
-        raise RuntimeError("consecutive classes always span the lattice")
-    return (
-        v0 * inv[0][0] + v1 * inv[1][0],
-        v0 * inv[0][1] + v1 * inv[1][1],
-    )
+    a, b = s_class(point.n, point.base)
+    c, d = s_class(point.n, point.base + 1)
+    return (-d * v0 + b * v1, c * v0 - a * v1)
 
 
 def _random_half_plane(rng: random.Random) -> GaussianRational:

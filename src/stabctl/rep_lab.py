@@ -176,6 +176,9 @@ def parse_rep(text: str, quiver: Quiver) -> QuiverRep:
         raise ValueError(f"a rep header is 'rep NAME' and {quiver.vertex_count} dims")
     if header[1] != quiver.name:
         raise ValueError(f"rep is for quiver {header[1]!r}, expected {quiver.name!r}")
+    for x in header[2:]:
+        if not (x.isascii() and x.isdecimal()):
+            raise ValueError(f"rep header dim {x!r} is not a nonnegative integer")
     dims = tuple(int(x) for x in header[2:])
     flat = rows[1:]
     mats = []

@@ -33,7 +33,8 @@ def _triangle():
 
 
 def _alpha_by_chains(table: xc.HomTable, subset) -> float:
-    """Independent evaluation: minimize over every chain from end to end."""
+    """Independent evaluation: one plus the least sum of k - 1 over every
+    chain from end to end."""
     sub = tuple(subset)
     s = len(sub) - 1
     best = math.inf
@@ -43,7 +44,7 @@ def _alpha_by_chains(table: xc.HomTable, subset) -> float:
             total = 0.0
             for a, b in zip(chain, chain[1:]):
                 total += table.min_degree(sub[a], sub[b])
-            total -= sum(s - c - 1 for c in chain[:-1])
+            total -= len(chain) - 2
             best = min(best, total)
     return best
 
@@ -66,6 +67,94 @@ def test_alpha_matches_chain_enumeration():
                 got = ca.alpha(table, sub)
                 want = _alpha_by_chains(table, sub)
                 assert got == want, (entries, sub)
+
+
+# four objects with one degree-zero hom between each ordered pair, the
+# simples of a heart once shifted by (3, 2, 1, 0)
+CHAIN4 = {
+    "labels": ["A", "B", "C", "D"],
+    "classes": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "euler": [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]],
+    "table": {f"{i},{j}": {"0": 1} for i in range(4) for j in range(i + 1, 4)},
+}
+
+
+def test_alpha_is_the_ext_shift_chain_bound():
+    c = xc.collection_from_data(CHAIN4)
+    got = {con.subset: con.alpha for con in ca.cone_system(c).constraints}
+    # each step of a chain costs k - 1 = -1, so a chain of r steps gives 1 - r
+    assert got == {
+        (0, 1, 2, 3): -2,
+        (0, 1, 2): -1,
+        (0, 1, 3): -1,
+        (0, 2, 3): -1,
+        (1, 2, 3): -1,
+        (0, 1): 0,
+        (0, 2): 0,
+        (0, 3): 0,
+        (1, 2): 0,
+        (1, 3): 0,
+        (2, 3): 0,
+    }
+    assert ca.alpha(_triangle().table, (0, 1, 2)) == -1
+
+
+def _random_graded_collection(rng: random.Random, size: int):
+    """Basis classes with one or two degrees in -2..3 per entry, some entries
+    empty; the Euler form is read off the entries."""
+    entries = {}
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < 0.2:
+                continue
+            k = rng.randint(-2, 3)
+            e = {k: rng.randint(1, 3)}
+            if rng.random() < 0.3:
+                e[k + rng.randint(1, 2)] = rng.randint(1, 2)
+            entries[(i, j)] = e
+            rows[i][j] = xc.chi_of_entry(e)
+    return _basis_collection(entries, rows)
+
+
+def _ext_shift(c, extra):
+    """The shift with p_{n-1} = 0 whose p_i exceeds by extra[i] the least value
+    that keeps every shifted degree k + p_i - p_j at least one."""
+    p = [0] * c.size
+    for i in range(c.size - 2, -1, -1):
+        bounds = [p[j] + 1 - min(e) for j in range(i + 1, c.size) if (e := c.table.entry(i, j))]
+        p[i] = max(bounds, default=0) + extra[i]
+    return p
+
+
+def _random_charge(rng: random.Random):
+    # the negative real axis, phase one, half the time: the edge of each heart
+    if rng.random() < 0.5:
+        return gauss(-rng.randint(1, 3))
+    return pn_model._random_half_plane(rng)
+
+
+def test_every_built_point_lies_in_its_cone():
+    rng = random.Random(2601)
+    tight = 0
+    for _ in range(1200):
+        c = _random_graded_collection(rng, rng.randint(2, 6))
+        extra = [rng.randint(0, 1) if rng.random() < 0.5 else 0 for _ in range(c.size)]
+        p = _ext_shift(c, extra)
+        z = [_random_charge(rng) for _ in range(c.size)]
+        point = ca.build_stability(c, p, z)
+        system = ca.cone_system(c)
+        assert ca.contains(system, point) == (True, None), (c, p, z)
+        # the bound is met with equality by the least shift along some chain
+        for con in system.constraints:
+            tight += not math.isinf(con.alpha) and p[con.subset[-1]] - p[con.subset[0]] + 1 == con.alpha
+        # one step down wherever a bound is met leaves the Ext shifts
+        for i in range(c.size - 1):
+            if extra[i] == 0 and any(c.table.entry(i, j) for j in range(i + 1, c.size)):
+                lower = p[:i] + [p[i] - 1] + p[i + 1 :]
+                with pytest.raises(ValueError, match="not an Ext-collection"):
+                    ca.build_stability(c, lower, z)
+    assert tight > 1000
 
 
 def test_alpha_input_validation():

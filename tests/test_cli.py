@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -105,6 +106,43 @@ def test_build_reproduces_the_reference_tokens(capsys):
         capsys, ["build", "--pn", "2", "--shifts", "1", "--charges=-1"]
     )
     assert code == 2 and "error:" in err
+
+
+# four objects with one degree-zero hom between each ordered pair
+CHAIN4 = json.dumps(
+    {
+        "labels": ["A", "B", "C", "D"],
+        "classes": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "euler": [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]],
+        "table": {f"{i},{j}": {"0": 1} for i in range(4) for j in range(i + 1, 4)},
+    }
+)
+
+
+def test_build_places_the_simples_of_a_heart(capsys):
+    code, out, err = run(
+        capsys, ["build", "--collection", CHAIN4, "--shifts", "3,2,1,0", "--charges=-1,i,i,1+1i"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "tokens": [{"w": -3, "z": "-1"}, {"w": -2, "z": "1i"}, {"w": -1, "z": "1i"}, {"w": 0, "z": "1+1i"}]
+    }
+    # a label that reads like a shift is only a label
+    shifted_label = json.dumps(
+        {"labels": ["A", "A[1]"], "classes": [[1, 0], [0, 1]], "euler": [[1, 1], [0, 1]], "table": {"0,1": {"0": 1}}}
+    )
+    code, out, err = run(
+        capsys, ["build", "--collection", shifted_label, "--shifts", "1,0", "--charges=-1,1+1i"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"tokens": [{"w": -1, "z": "-1"}, {"w": 0, "z": "1+1i"}]}
+
+
+def test_build_refuses_an_unknown_entry(capsys):
+    code, out, err = run(
+        capsys, ["build", "--collection", UNKNOWN_PAIR, "--shifts", "1,0", "--charges=-1,1+1i"]
+    )
+    assert (code, out, err) == (2, "", "error: entry (0,1) is unknown\n")
 
 
 def test_member_both_verdicts(capsys):
@@ -401,6 +439,13 @@ def test_a_short_rep_header_is_a_usage_error(capsys, rep):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rep, dim", [("rep p2 a b", "a"), ("rep p2 -1 1", "-1"), ("rep p2 1 1.0\n1\n1", "1.0")])
+def test_a_rep_header_dim_must_be_a_nonnegative_integer(capsys, rep, dim):
+    code, out, err = run(capsys, ["hn", "--rep", rep, "--charge=-1,1+1i"])
+    assert (code, out) == (2, "")
+    assert err == f"error: rep header dim {dim!r} is not a nonnegative integer\n"
+
+
 def _with(base: str, **fields) -> str:
     return json.dumps({**json.loads(base), **fields})
 
@@ -561,3 +606,70 @@ def test_the_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert [run(capsys, argv) for argv in sequence] == shared
+
+
+def _random_collection_json(rng):
+    """2 to 6 basis objects with labels that may read like shifts or
+    mutations; each entry is empty, unknown, or over one or two degrees in
+    -2..3, and the Euler form is read off the exact entries."""
+    size = rng.randint(2, 6)
+    labels = rng.sample(["A", "B", "C", "D", "E", "F", "A[1]", "B[-2]", "R[A](B)", "L[C](D)"], size)
+    euler = [[int(i == j) for j in range(size)] for i in range(size)]
+    table = {}
+    for i in range(size):
+        for j in range(i + 1, size):
+            roll = rng.random()
+            if roll < 0.04:
+                table[f"{i},{j}"] = None
+                euler[i][j] = rng.randint(-3, 3)
+            elif roll < 0.8:
+                k = rng.randint(-2, 3)
+                entry = {k: rng.randint(1, 3)}
+                if rng.random() < 0.3:
+                    entry[k + rng.randint(1, 2)] = rng.randint(1, 2)
+                table[f"{i},{j}"] = {str(d): n for d, n in entry.items()}
+                euler[i][j] = sum(-n if d % 2 else n for d, n in entry.items())
+    classes = [[int(i == j) for j in range(size)] for i in range(size)]
+    return {"labels": labels, "classes": classes, "euler": euler, "table": table}
+
+
+def _random_shifts(rng, data):
+    """Usually the least shift making every exact shifted degree at least one,
+    plus random steps; otherwise any vector of small integers."""
+    size = len(data["labels"])
+    if rng.random() < 0.2:
+        return [rng.randint(-3, 3) for _ in range(size)]
+    p = [0] * size
+    for i in range(size - 2, -1, -1):
+        entries = (data["table"].get(f"{i},{j}") for j in range(i + 1, size))
+        bounds = [p[j] + 1 - min(map(int, e)) for j, e in enumerate(entries, i + 1) if e]
+        p[i] = max(bounds, default=0) + rng.choice((0, 0, 0, 1))
+    return p
+
+
+def test_collection_commands_end_in_an_exit_code(capsys):
+    # the README's exit codes, 0 success, 1 negative result and 2 bad input,
+    # are the only ends of these commands on any collection: none raises
+    rng = random.Random(2602)
+    charges = ["-1", "-2", "i", "1+1i", "-1+1/2i", "3+2i", "-3+1i"]
+    codes = []
+    for _ in range(200):
+        data = _random_collection_json(rng)
+        size = len(data["labels"])
+        source = ["--collection", json.dumps(data)]
+        index = f"--index={rng.randint(-1, size - 1)}"
+        shifts = ",".join(map(str, _random_shifts(rng, data)))
+        for argv in (
+            ["build", *source, f"--shifts={shifts}", "--charges=" + ",".join(rng.choices(charges, k=size))],
+            ["witness", *source, index],
+            ["chart", *source],
+            ["classify", *source],
+            ["mutate", *source, index, f"--direction={rng.choice(('left', 'right'))}"],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert (code == 2) == err.startswith("error: "), (argv, err)
+            codes.append((argv[0], code))
+    # every command both answers and refuses on these inputs
+    for command in ("build", "witness", "chart", "classify", "mutate"):
+        assert {code for name, code in codes if name == command} == {0, 2}, command

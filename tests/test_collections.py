@@ -122,7 +122,7 @@ def test_mutation_moves_classes():
 def test_mutation_pair_entry_dualizes():
     c = _triangle()
     assert xc.mutate(c, 0, xc.RIGHT).table.entry(0, 1) == {0: 3}
-    shifted = xc.shift_objects(c, (1, 0, 0))
+    shifted = _reference_shift_objects(c, (1, 0, 0))
     assert shifted.table.entry(0, 1) == {1: 3}
     assert xc.mutate(shifted, 0, xc.RIGHT).table.entry(0, 1) == {-1: 3}
 
@@ -225,16 +225,6 @@ def test_classify_flags():
     assert flags.orthogonal and flags.strong and flags.ext
 
 
-def test_shift_objects_moves_degrees():
-    c = _triangle()
-    shifted = xc.shift_objects(c, (2, 1, 0))
-    assert shifted.table.entry(0, 1) == {1: 3}
-    assert shifted.table.entry(0, 2) == {2: 6}
-    assert shifted.table.entry(1, 2) == {1: 3}
-    # the shift field tracks how far the underlying object moved down
-    assert [o.shift for o in shifted.objects] == [-2, -1, 0]
-
-
 def test_collection_serialization_round_trip():
     c = xc.mutate(_triangle(), 0, xc.RIGHT)
     data = xc.collection_to_data(c)
@@ -290,11 +280,20 @@ def _reference_mutate(c, i, direction):
     return xc.make_collection(objects, xc.HomTable(n, entries), c.euler)
 
 
+def _shifted(o, k):
+    """The object o[k]: its class times (-1)^k, its module k degrees further down."""
+    if k == 0:
+        return o
+    kclass = tuple(-x for x in o.kclass) if k % 2 else o.kclass
+    return replace(o, label=f"{o.label}[{k}]", kclass=kclass, shift=o.shift - k)
+
+
 def _reference_shift_objects(c, p):
+    """The collection {E_i[p_i]}, whose entry (i, j) moves its degrees by p_i - p_j."""
     p = tuple(int(x) for x in p)
     if len(p) != c.size:
         raise ValueError("shift vector length mismatch")
-    objects = [o.shifted(k) for o, k in zip(c.objects, p)]
+    objects = [_shifted(o, k) for o, k in zip(c.objects, p)]
     entries = {}
     for (i, j), e in c.table.items():
         entries[(i, j)] = None if e is None else {k + p[i] - p[j]: d for k, d in e.items()}
@@ -362,9 +361,7 @@ def _start_collections(rng):
         size = rng.randint(2, 6)
         c = _random_open_collection(rng, size) if rng.random() < 0.7 else _random_collection(rng, size)
         if rng.random() < 0.3:
-            p = [rng.randint(-2, 2) for _ in range(size)]
-            _assert_same(_outcome(xc.shift_objects, c, p), _outcome(_reference_shift_objects, c, p))
-            c = xc.shift_objects(c, p)
+            c = _reference_shift_objects(c, [rng.randint(-2, 2) for _ in range(size)])
         yield c
 
 
@@ -387,8 +384,7 @@ def test_mutate_matches_the_make_collection_reference_on_random_walks():
                 continue
             if roll < 0.32:
                 p = [rng.randint(-1, 2) for _ in range(c.size)]
-                got = _outcome(xc.shift_objects, c, p)
-                _assert_same(got, _outcome(_reference_shift_objects, c, p))
+                got = _outcome(_reference_shift_objects, c, p)
                 if got[0] == "ok":
                     c = got[1]
                     counts["shifted"] += 1
@@ -404,19 +400,8 @@ def test_mutate_matches_the_make_collection_reference_on_random_walks():
     assert all(v > 100 for v in counts.values()), counts
 
 
-def test_shift_objects_and_resolve_entry_refuse_like_their_references():
-    c = _triangle()
-    for p in ((1, 0), (0, 0, 0, 0), (1, 2, 3)):
-        _assert_same(_outcome(xc.shift_objects, c, p), _outcome(_reference_shift_objects, c, p))
-    clash = xc.make_collection(
-        (xc.ExcObject("E0", (1, 0)), xc.ExcObject("E0[1]", (0, 1))),
-        xc.HomTable(2, {}),
-        EulerMatrix(((1, 0), (0, 1))),
-    )
-    got = _outcome(xc.shift_objects, clash, (1, 0))
-    assert got == ("error", "duplicate labels")
-    _assert_same(got, _outcome(_reference_shift_objects, clash, (1, 0)))
-    m = xc.mutate(c, 0, xc.RIGHT)
+def test_resolve_entry_refuses_like_its_reference():
+    m = xc.mutate(_triangle(), 0, xc.RIGHT)
     for i, j, dims in (
         (1, 2, {0: 3}),
         (1, 2, {0: 3, 4: 0}),
@@ -453,7 +438,6 @@ def test_mutated_tables_share_nothing_a_caller_can_change():
             xc.resolve_entry(out, *key, {0: chi} if chi >= 0 else {1: -chi})
         out.table.with_entry(*key, {5: 7})
         out.table.with_entry(*key, None)
-    xc.shift_objects(out, (1, 0, 2, 0, 1)).table.with_entry(0, 4, {9: 9})
     xc.mutate(out, 3, xc.LEFT)
     assert list(c.table.items()) == before
     assert list(out.table.items()) == after
