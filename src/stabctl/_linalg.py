@@ -19,13 +19,16 @@ There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
 stack (B, rows, cols), one row of every matrix per step, in int64.
 mod_p_rank ranks a whole stack with it, which is how subspace enumeration
 ranks a block of up to CHUNK small matrices at once.  A single matrix is
-first peeled of its singleton rows and columns, each a pivot of its own
-(_peel), which ranks a sparse Hom system mostly without arithmetic; what is
-left is ranked as a stack of one.  mod_p_rref, behind every mod-p kernel
-and inverse, eliminates one matrix as a stack of one.  Every sum stays
-exact because the inner dimension k = min(rows, cols) obeys
-k (p - 1)^2 < 2^53; a prime too large for the matrix is refused with
-ValueError.
+ranked from the list of its nonzero entries (mod_p_rank_entries): its
+singleton rows and columns, each a pivot of its own, are peeled off the
+list (_peel), which ranks a sparse Hom system mostly without arithmetic,
+and only the rows and columns still holding an entry are made dense and
+ranked as a stack of one.  mod_p_rank takes a dense matrix's entries with
+np.nonzero; the reduced Hom system of rep_lab is built as an entry list
+and never made dense.  mod_p_rref, behind every mod-p kernel and inverse,
+eliminates one matrix as a stack of one.  Every sum stays exact because the
+inner dimension k = min(rows, cols) obeys k (p - 1)^2 < 2^53; a prime too
+large for the matrix is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -322,61 +325,77 @@ def mod_p_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m[order], lead[order].tolist()
 
 
-def _peel(m: np.ndarray) -> tuple[int, np.ndarray]:
-    """Peel the singleton rows and columns off a matrix reduced mod p.
+def _peel(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> tuple[int, np.ndarray]:
+    """Peel the singleton rows and columns off a matrix given by its entries.
 
-    A row with one nonzero entry puts a unit vector in the row space, so each
-    distinct column such rows hit adds one to the rank, and those rows and
-    columns go; a column with one nonzero entry does the same for the column
-    space and its row.  The rules repeat, after dropping the rows left zero,
-    until neither applies (the singleton rules of structured Gaussian
-    elimination: LaMacchia and Odlyzko, "Solving large sparse linear systems
-    over finite fields", CRYPTO 1990).  Returns (r, rest) with
-    rank(m) = r + rank(rest).
+    The matrix has the nonzero entries vals, reduced mod p, at the distinct
+    positions (rows, cols).  A row with one entry puts a unit vector in the
+    row space, so each distinct column such rows hit adds one to the rank,
+    and those rows and columns go; a column with one entry does the same for
+    the column space and its row.  The rules repeat until neither applies
+    (the singleton rules of structured Gaussian elimination: LaMacchia and
+    Odlyzko, "Solving large sparse linear systems over finite fields",
+    CRYPTO 1990).  Returns (r, rest) with rank = r + rank(rest), rest the
+    dense matrix on the rows and columns that still hold an entry.
     """
     rank = 0
-    m = m[m.any(axis=1)]
-    while m.size:
-        nz = m != 0
-        single = nz.sum(axis=1) == 1
+    while rows.size:
+        single = np.bincount(rows, minlength=shape[0])[rows] == 1
         if single.any():
-            hit = nz[single].any(axis=0)
-            rows, cols = ~single, ~hit
+            # the entries of a singleton row lie in the columns it hits
+            hit = np.zeros(shape[1], dtype=bool)
+            hit[cols[single]] = True
+            keep = ~hit[cols]
         else:
-            single = nz.sum(axis=0) == 1
+            single = np.bincount(cols, minlength=shape[1])[cols] == 1
             if not single.any():
                 break
-            hit = nz[:, single].any(axis=1)
-            rows, cols = ~hit, ~single
+            hit = np.zeros(shape[0], dtype=bool)
+            hit[rows[single]] = True
+            keep = ~hit[rows]
         rank += int(np.count_nonzero(hit))
-        m = m[np.ix_(rows, cols)]
-        m = m[m.any(axis=1)]
-    return rank, m
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    at_rows, rows = np.unique(rows, return_inverse=True)
+    at_cols, cols = np.unique(cols, return_inverse=True)
+    rest = np.zeros((at_rows.size, at_cols.size), dtype=np.int64)
+    rest[rows, cols] = vals
+    return rank, rest
+
+
+def _stack_rank(m: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a stack (B, rows, cols), transposed when that makes fewer steps."""
+    if m.shape[1] > m.shape[2]:
+        m = m.transpose(0, 2, 1)
+    return (_eliminate(m, p) < m.shape[2]).sum(axis=1)
+
+
+def mod_p_rank_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape, p: int) -> int:
+    """Rank mod p of the matrix of the given shape with these nonzero entries.
+
+    The entries lie at distinct positions and are reduced mod p.  The
+    singleton rows and columns are peeled off (_peel) and only what is left
+    is eliminated, as a stack of one; a sparse matrix, such as the Hom
+    system of two helix modules, is often ranked by peeling alone.
+    """
+    _check_prime(min(shape), p)
+    rank, rest = _peel(rows, cols, vals, shape)
+    return rank + int(_stack_rank(rest[None], p)[0]) if rest.size else rank
 
 
 def mod_p_rank(mat: np.ndarray, p: int):
     """Rank mod p of a matrix, or an array of ranks for a stack (B, rows, cols).
 
-    A matrix has its singleton rows and columns peeled off first (_peel),
-    and only what is left is eliminated, as a stack of one; a sparse matrix,
-    such as the Hom system of two helix modules, is often ranked by peeling
-    alone.  A stack is eliminated whole, one step for a row of every matrix
-    at once, so it suits many small matrices; it is transposed when that
-    makes the rows, one step each, fewer.
+    A matrix is ranked from its nonzero entries (mod_p_rank_entries).  A
+    stack is eliminated whole, one step for a row of every matrix at once,
+    so it suits many small matrices.
     """
     m = np.array(mat, dtype=np.int64)
-    m %= p  # in place: the Hom system of two helix modules can take tens of MB
+    m %= p
+    if m.ndim == 2:
+        rows, cols = np.nonzero(m)
+        return mod_p_rank_entries(rows, cols, m[rows, cols], m.shape, p)
     _check_prime(min(m.shape[-2:]), p)
-    single = m.ndim == 2
-    if single:
-        rank, m = _peel(m)
-        if not m.size:
-            return rank
-        m = m[None]
-    if m.shape[1] > m.shape[2]:
-        m = m.transpose(0, 2, 1)
-    ranks = (_eliminate(m, p) < m.shape[2]).sum(axis=1)
-    return rank + int(ranks[0]) if single else ranks
+    return _stack_rank(m, p)
 
 
 def mod_p_kernel(mat: np.ndarray, p: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import math
 import re as _re
 
@@ -356,8 +357,12 @@ class EulerMatrix:
         return len(self.entries)
 
 
+@lru_cache(maxsize=None)
 def euler_matrix(q: Quiver) -> EulerMatrix:
-    """Euler form of the path algebra: identity minus the adjacency count."""
+    """Euler form of the path algebra: identity minus the adjacency count.
+
+    A Quiver and its EulerMatrix are frozen, so each quiver's is built once.
+    """
     k = q.vertex_count
     m = [[0] * k for _ in range(k)]
     for v in range(k):

@@ -95,9 +95,10 @@ class QuiverRep:
 
         The dual ("dual"), the lcm of the denominators ("lcm"), the
         entries mod each prime p (key p) and, as the target of a reduced Hom
-        system, the left kernel of the stacked arrows mod p with their rank
-        (key ("left-kernel", p)).  Like the hash they are kept on the
-        instance, outside the fields, so equality and hashing stay structural.
+        system, the nonzero entries of the left kernel of the stacked arrows
+        mod p with its row count and their rank (key ("left-kernel", p)).
+        Like the hash they are kept on the instance, outside the fields, so
+        equality and hashing stay structural.
         """
         try:
             return self._memos
@@ -298,11 +299,13 @@ def _source_vertex(q: Quiver) -> int | None:
     return srcs.pop()
 
 
-def _target_kernel(n: QuiverRep, p: int) -> tuple[np.ndarray, int]:
-    """(Y, rank sb) for the stacked arrows sb of n mod p, kept on n.
+def _target_kernel(n: QuiverRep, p: int) -> tuple[tuple[np.ndarray, ...], int, int]:
+    """The left kernel Y of the stacked arrows sb of n mod p, kept on n.
 
-    Y is the left kernel of sb, one row per vector, and depends on the
-    target of _hom_mod_p_reduced alone, so every source shares it.
+    Returns ((r, a, i, v), rows, rank sb): the nonzero entries v = Y[r, a, i]
+    of Y read as (vector, arrow, sink row), its row count and the rank of
+    sb.  It depends on the target of _hom_mod_p_reduced alone, so every
+    source shares it.
     """
     memo = n._memo()
     key = ("left-kernel", p)
@@ -310,9 +313,49 @@ def _target_kernel(n: QuiverRep, p: int) -> tuple[np.ndarray, int]:
         stack = _stack_mod_p(n, p)
         sb = stack.reshape(stack.shape[0] * stack.shape[1], stack.shape[2])
         y = _linalg.mod_p_kernel(sb.T, p)
-        y.flags.writeable = False
-        memo[key] = (y, sb.shape[0] - y.shape[0])
+        y3 = y.reshape(y.shape[0], *stack.shape[:2])
+        at = np.nonzero(y3)
+        entries = (*at, y3[at])
+        for e in entries:
+            e.flags.writeable = False
+        memo[key] = (entries, y.shape[0], sb.shape[0] - y.shape[0])
     return memo[key]
+
+
+def _reduced_entries(m: QuiverRep, n: QuiverRep, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """The sink system of _hom_mod_p_reduced as (rows, cols, vals, shape).
+
+    Row (r, j), column (i, k) holds the sum over a of Y[r, a, i] A_a[k, j],
+    for Y the target's left kernel and A_a the source's arrows.  Each
+    nonzero entry of Y meets each nonzero entry of A on the same arrow; the
+    products are summed per position and reduced mod p, and the zero sums
+    dropped, so the entries are nonzero, at distinct positions and sorted.
+    """
+    src = _source_vertex(m.quiver)
+    ms, mk = m.dims[src], m.dims[1 - src]
+    (yr, ya, yi, yv), y_rows, _ = _target_kernel(n, p)
+    stack = _stack_mod_p(m, p)
+    # np.nonzero reads the stack in C order, so its entries come arrow by arrow
+    sa, sk, sj = at = np.nonzero(stack)
+    # pair each entry of Y with every source entry of its arrow: the pairs
+    # of Y entry e start at pair start[e] and the source entries of arrow a
+    # at first[a]
+    count = np.bincount(sa, minlength=stack.shape[0])
+    first = np.cumsum(count) - count
+    reps = count[ya]
+    start = np.cumsum(reps) - reps
+    y_at = np.repeat(np.arange(yv.size), reps)
+    s_at = np.arange(y_at.size) + np.repeat(first[ya] - start, reps)
+    ncols = n.dims[1 - src] * mk
+    key = (yr[y_at] * ms + sj[s_at]) * ncols + yi[y_at] * mk + sk[s_at]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    # a sum holds one product below p^2 per arrow, far from int64 overflow
+    vals = np.add.reduceat((yv[y_at] * stack[at][s_at])[order], starts) % p
+    kept = vals != 0
+    rows, cols = np.divmod(key[starts][kept], ncols)
+    return rows, cols, vals[kept], (y_rows * ms, ncols)
 
 
 def _hom_mod_p_reduced(m: QuiverRep, n: QuiverRep, p: int) -> int:
@@ -322,18 +365,18 @@ def _hom_mod_p_reduced(m: QuiverRep, n: QuiverRep, p: int) -> int:
     stack(f_snk A_a) = sb f_src with sb the stacked target matrices.  A
     sink map extends exactly when the rows Y of the left kernel of sb
     annihilate stack(f_snk A_a), and each extension is unique up to the
-    m_src (n_src - rank sb) maps into the kernel of sb.
+    m_src (n_src - rank sb) maps into the kernel of sb.  The sink system is
+    built and ranked from its nonzero entries (_reduced_entries), never as
+    a dense array.  When Y or the source arrows have no nonzero entry there
+    is no equation, and every sink map extends.
     """
     src = _source_vertex(m.quiver)
     snk = 1 - src
-    y, rank_sb = _target_kernel(n, p)
-    y3 = y.reshape(y.shape[0], len(m.quiver.arrows), n.dims[snk])
-    # row (r, j), column (i, k): sum over a of Y[r, a, i] A_a[k, j], each a
-    # sum of narr products below p^2, far from int64 overflow; mod_p_rank
-    # reduces its own copy
-    t = np.einsum("rai,akj->rjik", y3, _stack_mod_p(m, p))
-    tmat = t.reshape(y.shape[0] * m.dims[src], n.dims[snk] * m.dims[snk])
-    sink_hom = n.dims[snk] * m.dims[snk] - _linalg.mod_p_rank(tmat, p)
+    y, _, rank_sb = _target_kernel(n, p)
+    sink_hom = n.dims[snk] * m.dims[snk]
+    if y[0].size and _stack_mod_p(m, p).any():
+        rows, cols, vals, shape = _reduced_entries(m, n, p)
+        sink_hom -= _linalg.mod_p_rank_entries(rows, cols, vals, shape, p)
     return m.dims[src] * (n.dims[src] - rank_sb) + sink_hom
 
 

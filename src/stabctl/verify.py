@@ -183,14 +183,13 @@ def suite_helix_law() -> tuple[int, list[str]]:
     failures = []
     cases = 0
     # the diagonal, hom_ext(S, S) = (1, 0), is the rigidity check the build
-    # leaves to the reflection theorem.  n=3 reaches S_5 = D S_-4.  S_-5
-    # builds in 0.025 s and its self pair takes about 0.5 s and 330 MB, but
-    # S_-5 -> S_5 takes about 3 s and 1.8 GB, spent building the dense einsum
-    # tensor of the reduced system (2 CPUs, Python 3.11), so the range stays
-    # at -4 until hom_ext has a budget
-    for n, top in ((2, 4), (3, 5)):
-        for i in range(-4, top + 1):
-            for j in range(-4, top + 1):
+    # leaves to the reflection theorem.  The 169 n=3 pairs of S_-6..S_6 take
+    # about 0.8 s and 50 MB (2 CPUs, Python 3.11), most of it the left
+    # kernel of S_-6's stacked arrows; the reduced system itself is ranked
+    # from its nonzero entries
+    for n, k in ((2, 4), (3, 6)):
+        for i in range(-k, k + 1):
+            for j in range(-k, k + 1):
                 degree, dim = (0, 1) if i == j else pn.module_hom_prediction(n, i, j)
                 he = rep_lab.hom_ext(pn.helix_module(n, i)[0], pn.helix_module(n, j)[0])
                 expected = (dim, 0) if degree == 0 else (0, dim)

@@ -121,10 +121,16 @@ def test_mod_p_refuses_a_prime_too_large_for_float64():
             fn(m, 2**31 - 1)
 
 
+def _peel_entries(m: np.ndarray):
+    """Peel a matrix reduced mod p, given by its nonzero entries."""
+    rows, cols = np.nonzero(m)
+    return _linalg._peel(rows, cols, m[rows, cols], m.shape)
+
+
 def _peel_case(rows, p: int, peeled: int, rest_shape: tuple[int, int]):
     """Check the peel of rows against its expected split and the reference rank."""
     m = np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0)
-    rank, rest = _linalg._peel(m % p)
+    rank, rest = _peel_entries(m % p)
     assert (rank, rest.shape) == (peeled, rest_shape), rows
     assert rank + len(_reference_rref(rest.tolist(), p)[1]) == len(_reference_rref(m.tolist(), p)[1])
     assert _linalg.mod_p_rank(m, p) == len(_reference_rref(m.tolist(), p)[1])
@@ -142,14 +148,15 @@ def test_peeling_splits_the_rank_exactly():
     chain = [[int(j in (i, i + 1)) for j in range(6)] for i in range(6)]
     _peel_case(chain, 5, 6, (0, 0))
     _peel_case([list(c) for c in zip(*chain)], 5, 6, (0, 0))
-    # zero rows and columns, and entries that vanish only mod p
-    _peel_case([[0, 0, 0], [0, 7, 0], [0, 0, 0]], 7, 0, (0, 3))
-    _peel_case([[0, 2, 0, 3], [0, 0, 0, 0], [0, 4, 0, 1]], 5, 0, (2, 4))
+    # zero rows and columns, and entries that vanish only mod p, hold no
+    # entry and so are not in the rest
+    _peel_case([[0, 0, 0], [0, 7, 0], [0, 0, 0]], 7, 0, (0, 0))
+    _peel_case([[0, 2, 0, 3], [0, 0, 0, 0], [0, 4, 0, 1]], 5, 0, (2, 2))
     # a dense matrix does not peel
     _peel_case([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 13, 0, (3, 3))
     for shape in ((0, 4), (3, 0), (0, 0)):
         m = np.zeros(shape, dtype=np.int64)
-        rank, rest = _linalg._peel(m)
+        rank, rest = _peel_entries(m)
         assert rank == 0 and rest.size == 0
         assert _linalg.mod_p_rank(m, 7) == 0
 
@@ -186,7 +193,7 @@ def test_a_tall_rest_is_eliminated_transposed(monkeypatch):
     rng = np.random.default_rng(5)
     # 90 x 8 of rank 7: every column has many entries, so nothing peels
     m = (rng.integers(1, 10007, (90, 7)) @ rng.integers(1, 10007, (7, 8))) % 10007
-    assert _linalg._peel(m)[0] == 0
+    assert _peel_entries(m)[0] == 0
     assert _linalg.mod_p_rank(m, 10007) == _linalg.mod_p_rank(m[None], 10007)[0] == 7
     assert calls == [(1, 8, 90), (1, 8, 90)]
 
@@ -213,7 +220,7 @@ def test_peeling_matches_the_reference_on_sparse_systems():
 def test_peeled_rank_plus_the_rest_is_the_rank(p, rows):
     m = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
     rank = len(_reference_rref(rows, p)[1])
-    peeled, rest = _linalg._peel(m % p)
+    peeled, rest = _peel_entries(m % p)
     assert peeled + len(_reference_rref(rest.tolist(), p)[1]) == rank
     assert _linalg.mod_p_rank(m, p) == rank
 

@@ -190,9 +190,65 @@ def test_reduced_system_against_the_full_system():
             assert rep_lab._hom_mod_p_reduced(m, n, p) == want
             assert ("left-kernel", p) in n._memo()
             assert rep_lab._hom_mod_p_reduced(m, n, p) == want
-            y, rank_sb = rep_lab._target_kernel(n, p)
+            _assert_entries_match_the_dense_system(m, n, p)
+            rank_sb = rep_lab._target_kernel(n, p)[2]
             singular += rank_sb < len(quiver.arrows) * n.dims[1 - rep_lab._source_vertex(quiver)]
     assert singular >= 100
+
+
+def _dense_reduced_system(m, n, p: int) -> np.ndarray:
+    """The reduced sink system as one dense einsum of Y and the source arrows."""
+    src = rep_lab._source_vertex(m.quiver)
+    narr, snk = len(m.quiver.arrows), 1 - src
+    sb = np.array(rep_lab._stack_mod_p(n, p)).reshape(narr * n.dims[snk], n.dims[src])
+    y = _linalg.mod_p_kernel(sb.T, p)
+    y3 = y.reshape(y.shape[0], narr, n.dims[snk])
+    t = np.einsum("rai,akj->rjik", y3, rep_lab._stack_mod_p(m, p)) % p
+    return t.reshape(y.shape[0] * m.dims[src], n.dims[snk] * m.dims[snk])
+
+
+def _assert_entries_match_the_dense_system(m, n, p: int) -> None:
+    rows, cols, vals, shape = rep_lab._reduced_entries(m, n, p)
+    want = _dense_reduced_system(m, n, p)
+    assert shape == want.shape
+    # nonzero, reduced, at distinct positions in row-major order
+    assert ((vals > 0) & (vals < p)).all()
+    assert (np.diff(rows * shape[1] + cols) > 0).all()
+    got = np.zeros(shape, dtype=np.int64)
+    got[rows, cols] = vals
+    assert (got == want).all()
+
+
+def test_products_that_cancel_mod_p_leave_no_entry():
+    # the target's stacked arrows (1, 1) have the left kernel Y = (-1, 1);
+    # the source's arrows are (1, 1) and (1, 2), so at sink column k = 0 the
+    # two arrows' products cancel and at k = 1 they sum to 1
+    q = kronecker_quiver(2)
+    n = rep_lab.make_rep(q, (1, 1), [[[1]], [[1]]])
+    m = rep_lab.make_rep(q, (1, 2), [[[1], [1]], [[1], [2]]])
+    for p in rep_lab.LARGE_PRIMES:
+        rows, cols, vals, shape = rep_lab._reduced_entries(m, n, p)
+        assert (rows.tolist(), cols.tolist(), vals.tolist(), shape) == ([0], [1], [1], (1, 2))
+        assert rep_lab._hom_mod_p_reduced(m, n, p) == rep_lab._hom_mod_p_full(m, n, p) == 1
+        _assert_entries_match_the_dense_system(m, n, p)
+
+
+def test_the_far_helix_pair_is_ranked_in_little_memory():
+    # S(3, -5) -> S(3, 5): the dense reduced system has 1.33 billion
+    # entries, the entry list a few thousand
+    import tracemalloc
+
+    q = kronecker_quiver(3)
+    m, n = (rep_lab.make_rep(q, s.dims, s.matrices) for s in (pn_model.helix_module(3, k)[0] for k in (-5, 5)))
+    rep_lab.hom_ext.cache_clear()
+    tracemalloc.start()
+    try:
+        he = rep_lab.hom_ext(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (he.hom, he.ext) == (0, 17711)
+    assert peak < 64 * 2**20, peak
 
 
 def test_each_target_kernel_is_solved_once_per_prime(monkeypatch):
