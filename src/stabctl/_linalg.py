@@ -1,19 +1,26 @@
 """Exact and modular linear algebra kernels.
 
-Fraction-valued routines back every certified claim; mod-p routines (numpy,
-vectorized) provide fast rank computation and candidate enumeration whose
-results are either certified over QQ afterwards or discarded.
+Exact routines, integer or Fraction valued, back every certified claim;
+mod-p routines (numpy, vectorized) provide fast rank computation and
+candidate enumeration whose results are either certified over QQ
+afterwards or discarded.
 
-There is one exact elimination kernel, _fraction_free: Gauss-Jordan on the
-rows scaled to integers, with Bareiss's exact divisions keeping every entry
-an integer minor (Bareiss 1968).  Every exact rank, reduced row echelon
-form, kernel, solve, inverse and basis extension goes through it.  The
-callers read its integer rows and their common denominator and build a
-Fraction only for an entry they return, one shared Fraction(0) for every
-zero entry (Fractions are immutable).  Rows may be given as integers or
-Fractions, and a row may be given rescaled: the reduced row echelon form,
-so every kernel and span basis, is the same for any nonzero multiple of
-any row.
+There is one exact elimination kernel, _fraction_free: Gauss-Jordan on
+integer rows, with Bareiss's exact divisions keeping every entry an integer
+minor (Bareiss 1968).  Every exact rank, reduced row echelon form, kernel,
+solve, inverse and basis extension goes through it.  Rows may be given as
+ints or Fractions; a row holding a Fraction is scaled to integers first,
+and a row may be given rescaled: the reduced row echelon form, so every
+kernel and span basis, is the same for any nonzero multiple of any row.
+
+The readers over it build a Fraction only for an entry they return, one
+shared Fraction(0) for every zero entry (Fractions are immutable).  The
+integer readers return no Fraction at all: int_kernel, int_rref and
+span_and_complement give each basis row as its positive primitive multiple
+(integers with gcd 1), and lifted_kernel reads the kernel of a lifted mod-p
+reduced row echelon form off its rows with no elimination.  Their rows fed
+back in skip the scaling, which is how the subrepresentation witnesses of
+rep_lab stay integer rows from end to end.
 
 There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
 stack (B, rows, cols), one row of every matrix per step, in int64.
@@ -94,36 +101,57 @@ def integer_multiple(mat) -> list[list[int]]:
 def int_images(mats, rows) -> list[list[int]]:
     """A v for each row v and each integer matrix A in turn, v made integer.
 
-    Each v is taken times the lcm of its own denominators, so each result
-    is the image times a nonzero scalar, as an integer row: the span of the
-    results, and so their RREF, kernel and span basis, is that of the
-    images.
+    A row of ints is taken as it is and a row holding a Fraction times the
+    lcm of its own denominators (_integer_row), so each result is the image
+    times a positive scalar, as an integer row: the span of the results,
+    and so their RREF, kernel and span basis, is that of the images.
     """
     out = []
     for v in rows:
-        lcm = math.lcm(*(x.denominator for x in v))
-        v = [x.numerator * (lcm // x.denominator) for x in v]
+        v = _integer_row(v)
         out.extend([sum(map(mul, row, v)) for row in a] for a in mats)
     return out
+
+
+def _integer_row(row):
+    """row itself when every entry is an int, else row times the lcm of its denominators."""
+    for x in row:
+        if type(x) is not int:
+            break
+    else:
+        return row
+    lcm = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (lcm // x.denominator) for x in row]
+
+
+def primitive(row, sign: int = 1) -> list[int]:
+    """The integer row over the gcd of its entries, that gcd taken with the sign of sign.
+
+    So the result is the positive primitive multiple of row / sign; a zero
+    row comes back as it is.
+    """
+    g = math.gcd(*row)
+    if sign < 0:
+        g = -g
+    return list(row) if g in (0, 1) else [x // g for x in row]
 
 
 def _fraction_free(rows) -> tuple[list[list[int]], list[int], int]:
     """Gauss-Jordan on integers, the one exact elimination kernel.
 
-    Each row is scaled by the lcm of its denominators.  At a pivot of value
+    A row holding a Fraction is scaled by the lcm of its denominators, and
+    a row of ints is taken as it is (_integer_row).  At a pivot of value
     pv every other row, its entry f in the pivot column, becomes
     (pv row - f pivot_row) // prev with prev the pivot before, so every
     entry stays an integer minor of the scaled rows and the division is
     exact (Bareiss, "Sylvester's identity and multistep integer-preserving
     Gaussian elimination", Math. Comp. 1968).  A row whose entry f is zero
-    is scaled all the same; the next division relies on it.  Returns
+    is scaled by pv / prev all the same, since the next division relies on
+    it, and so is left as it is when pv = prev.  Returns
     (rows, pivot columns, den): the rows divided by den, the last pivot
     value, are the reduced row echelon form.
     """
-    m = []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (lcm // x.denominator) for x in row])
+    m = [_integer_row(row) for row in rows]
     pivots: list[int] = []
     prev = 1
     for c in range(len(m[0]) if m else 0):
@@ -137,8 +165,8 @@ def _fraction_free(rows) -> tuple[list[list[int]], list[int], int]:
         prow = m[r]
         pv = prow[c]
         for i, row in enumerate(m):
-            if i != r:
-                f = row[c]
+            f = row[c]
+            if i != r and (f or pv != prev):
                 m[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
         pivots.append(c)
         prev = pv
@@ -151,25 +179,55 @@ def frac_rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return [[_entry(x, den) for x in row] for row in m], pivots
 
 
-def frac_kernel(rows: Matrix, ncols: int) -> Matrix:
-    """Basis of the right kernel, one vector per row.
-
-    Vector f has a 1 at free column f, minus the pivot rows' entries in
-    column f at the pivot columns, and zeros elsewhere; only the free
-    columns of the eliminated rows are read.
-    """
+def int_rref(rows) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form, each as its
+    positive primitive multiple, and the pivot column list."""
     m, pivots, den = _fraction_free(rows)
+    return [primitive(row, den) for row in m[: len(pivots)]], pivots
+
+
+def _kernel_rows(m, pivots: list[int], den: int, ncols: int) -> list[list[int]]:
+    """den times each right-kernel basis vector of the RREF m / den.
+
+    Vector f has den at free column f, minus the pivot rows' entries in
+    column f at the pivot columns, and zeros elsewhere; only the free
+    columns of the rows are read.
+    """
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [ZERO] * ncols
-        v[fc] = ONE
+        v = [0] * ncols
+        v[fc] = den
         for row, pc in zip(m, pivots):
-            v[pc] = _entry(-row[fc], den)
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+def frac_kernel(rows: Matrix, ncols: int) -> Matrix:
+    """Basis of the right kernel, one vector per row, each with a 1 at its free column."""
+    m, pivots, den = _fraction_free(rows)
+    return [[_entry(x, den) if x else ZERO for x in v] for v in _kernel_rows(m, pivots, den, ncols)]
+
+
+def int_kernel(rows, ncols: int) -> list[list[int]]:
+    """The frac_kernel basis, each vector as its positive primitive multiple."""
+    m, pivots, den = _fraction_free(rows)
+    return [primitive(v, den) for v in _kernel_rows(m, pivots, den, ncols)]
+
+
+def lifted_kernel(rref: np.ndarray, p: int) -> list[list[int]]:
+    """frac_kernel of the centered lift of a mod-p RREF basis (k x cols), with no elimination.
+
+    The lift keeps every 0 and every 1, also for p = 2, so it is a reduced
+    row echelon form over QQ whose pivots are each row's first 1, and its
+    kernel vectors, each with a 1 at its free column and so primitive, are
+    read off its rows.
+    """
+    rows = centered_lift(rref, p).tolist()
+    return _kernel_rows(rows, [row.index(1) for row in rows], 1, rref.shape[1])
 
 
 def _solve(aug, n: int) -> tuple[list[int], Matrix | None]:
@@ -230,20 +288,21 @@ def frac_inverse(a: Matrix) -> Matrix | None:
     return frac_solve(a, frac_identity(n))
 
 
-def span_and_complement(rows: Matrix, dim: int) -> tuple[Matrix, Matrix]:
-    """A basis of the span of rows, and the unit vectors completing it.
+def span_and_complement(rows, dim: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A basis of the span of rows, and the unit vectors completing it, as integer rows.
 
     One elimination with the columns reversed gives both.  Its pivot rows,
-    read back in column order and taken last pivot first, are the basis, so
-    a full span gets the identity.  The unit vectors are those a greedy pass
-    in column order would add: e_c joins exactly when c is the last nonzero
-    position of no vector in the span, that is when c is no pivot of the
-    columns taken in reverse.
+    read back in column order and taken last pivot first, each as its
+    positive primitive multiple, are the basis, so a full span gets the
+    identity.  The unit vectors are those a greedy pass in column order
+    would add: e_c joins exactly when c is the last nonzero position of no
+    vector in the span, that is when c is no pivot of the columns taken in
+    reverse.
     """
     m, pivots, den = _fraction_free([r[::-1] for r in rows])
-    basis = [[_entry(x, den) for x in reversed(row)] for row in reversed(m[: len(pivots)])]
+    basis = [primitive(row[::-1], den) for row in reversed(m[: len(pivots)])]
     last = {dim - 1 - c for c in pivots}
-    units = [[ONE if j == c else ZERO for j in range(dim)] for c in range(dim) if c not in last]
+    units = [[int(j == c) for j in range(dim)] for c in range(dim) if c not in last]
     return basis, units
 
 

@@ -226,6 +226,13 @@ def cmd_verify(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+def _oracle_bound(text: str) -> int:
+    """A nonnegative --oracle-bound; argparse names the option on a refusal."""
+    if not (text.isascii() and text.isdecimal()):
+        raise argparse.ArgumentTypeError(f"a nonnegative integer is expected, not {text!r}")
+    return int(text)
+
+
 def _add_collection_source(sub) -> None:
     sub.add_argument("--collection", help="collection JSON, inline or a file path")
     sub.add_argument("--pn", type=int, help="use the two object collection with N arrows")
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="point JSON, inline or a file path")
     p.add_argument("--chart", type=int, required=True)
     p.add_argument(
-        "--oracle-bound", type=int, help="accepted and unused: no oracle call here"
+        "--oracle-bound", type=_oracle_bound, help="accepted and unused: no oracle call here"
     )
     p.set_defaults(func=cmd_member)
 
@@ -277,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True, help="rep text, inline or a file path")
     p.add_argument("--charge", required=True, metavar="Z0,Z1,...")
     p.add_argument("--quiver", default="p2", help="pN, 'V;0>1,0>1,...' or V for no arrows")
-    p.add_argument("--oracle-bound", type=int)
+    p.add_argument("--oracle-bound", type=_oracle_bound)
     p.set_defaults(func=cmd_hn)
 
     p = sub.add_parser("stable-pair", help="find a chart whose pair is stable")
     p.add_argument("--point", required=True)
     p.add_argument("--window", type=int, default=20)
     p.add_argument(
-        "--oracle-bound", type=int, help="accepted and unused: no oracle call here"
+        "--oracle-bound", type=_oracle_bound, help="accepted and unused: no oracle call here"
     )
     p.set_defaults(func=cmd_stable_pair)
 

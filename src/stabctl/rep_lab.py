@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -93,8 +94,9 @@ class QuiverRep:
     def _memo(self) -> dict:
         """Per-instance results that depend only on the representation.
 
-        The dual ("dual"), the lcm of the denominators ("lcm"), the
-        entries mod each prime p (key p) and, as the target of a reduced Hom
+        The dual ("dual"), the lcm of the denominators ("lcm"), each
+        arrow's integer multiple with its lcm ("integer"), the entries mod
+        each prime p (key p) and, as the target of a reduced Hom
         system, the nonzero entries of the left kernel of the stacked arrows
         mod p with its row count and their rank (key ("left-kernel", p)).
         Like the hash they are kept on the instance, outside the fields, so
@@ -251,6 +253,17 @@ def _denominator_lcm(m: QuiverRep) -> int:
     if "lcm" not in memo:
         memo["lcm"] = math.lcm(*(x.denominator for mat in m.matrices for row in mat for x in row))
     return memo["lcm"]
+
+
+def _integer_arrows(m: QuiverRep) -> list[tuple[list[list[int]], int]]:
+    """Each arrow matrix of m times the lcm of its denominators, with that lcm, kept on m."""
+    memo = m._memo()
+    if "integer" not in memo:
+        memo["integer"] = [
+            (_linalg.integer_multiple(mat), math.lcm(*(x.denominator for row in mat for x in row)))
+            for mat in m.matrices
+        ]
+    return memo["integer"]
 
 
 def _flat_mod_p(m: QuiverRep, p: int) -> np.ndarray:
@@ -436,6 +449,13 @@ def hom_ext(m: QuiverRep, n: QuiverRep) -> HomExt:
 
 @dataclass(frozen=True)
 class SubrepScan:
+    """The certified subrep dimension vectors, sorted, and the open candidates.
+
+    witnesses maps each certified vector to one row basis per vertex, in
+    vertex order, of a subrepresentation with that dimension vector; each
+    row is a tuple of ints with gcd 1.
+    """
+
     vectors: tuple[tuple[int, ...], ...]
     witnesses: dict
     uncertified: tuple[tuple[int, ...], ...]
@@ -611,34 +631,39 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool
       into the annihilator of each independent prefix of blocks.
 
     A kernel or a span basis is the same for any nonzero multiple of any
-    input row, so the rows eliminated for U and for sum_a A_a U are integer
-    rows: each arrow matrix and its transpose times one scalar, the lcm of
-    all its denominators, and each functional or source row times the lcm
-    of its own.  One scalar per matrix keeps each image a multiple of the
-    true one; a scalar per row of a matrix would scale the coordinates of
-    its images unevenly and change their span.  The witness bases stay the
-    rational rows of U and the span basis.
+    input row, so every row here is an integer row: each arrow matrix and
+    its transpose times one scalar, the lcm of all its denominators
+    (_integer_arrows), and each source, functional and sink row its
+    positive primitive multiple, as the integer readers of _linalg return
+    it.  One scalar per matrix keeps each image a multiple of the true one;
+    a scalar per row of a matrix would scale the coordinates of its images
+    unevenly and change their span.  The joint maps mix the arrows, so they
+    keep their Fraction entries; only their kernels are read, as integer
+    rows too.  So the witness bases are primitive integer rows, each the
+    positive multiple of a rational row of U or of the span basis, and no
+    Fraction is built.
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
     narr = len(m.matrices)
-    arrows = [_linalg.integer_multiple(mat) for mat in m.matrices]
+    arrows = [a for a, _ in _integer_arrows(m)]
     transposed = [[[a[i][j] for i in range(d_snk)] for j in range(d_src)] for a in arrows]
     todo = sorted(candidates, key=lambda vec: (vec[1 - src], -vec[src]))
     witnesses = {}
 
     def preimage(ann):
         """The largest source subspace every arrow maps into the annihilator of ann."""
-        return _linalg.frac_kernel(_linalg.int_images(transposed, ann), d_src)
+        return _linalg.int_kernel(_linalg.int_images(transposed, ann), d_src)
 
     def prefixes(rows, width):
-        """Each independent prefix of the width-long blocks of each row.
+        """Each independent prefix of the width-long blocks of each row,
+        each block its positive primitive multiple.
 
         One elimination per row: the first k blocks are independent exactly
         when a greedy pass keeps each of them.
         """
         for row in rows:
-            blocks = [row[a * width : (a + 1) * width] for a in range(narr)]
+            blocks = [_linalg.primitive(row[a * width : (a + 1) * width]) for a in range(narr)]
             kept, _ = _linalg.frac_coordinates(blocks, [])
             for k in range(1, narr + 1):
                 if kept[:k] != list(range(k)):
@@ -649,18 +674,15 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool
         for vec in list(todo):
             if vec in witnesses:
                 continue
-            lifted = _linalg.centered_lift(cands[vec], p).tolist()
-            if dualize:
-                yield _linalg.frac_kernel(lifted, d_src)
-            else:
-                yield preimage(_linalg.frac_kernel(lifted, d_snk))
+            kernel = _linalg.lifted_kernel(cands[vec], p)
+            yield kernel if dualize else preimage(kernel)
         if not joint:
             return
         # the joint maps mix the arrows, so they keep the rational entries
         joint_map = [[x for mat in m.matrices for x in mat[i]] for i in range(d_snk)]
-        yield from prefixes(_linalg.frac_kernel(joint_map, narr * d_src), d_src)
+        yield from prefixes(_linalg.int_kernel(joint_map, narr * d_src), d_src)
         joint_map = [[mat[i][j] for mat in m.matrices for i in range(d_snk)] for j in range(d_src)]
-        for ann in prefixes(_linalg.frac_kernel(joint_map, narr * d_snk), d_snk):
+        for ann in prefixes(_linalg.int_kernel(joint_map, narr * d_snk), d_snk):
             yield preimage(ann)
 
     for urows in sources():
@@ -680,13 +702,13 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool
 
 def _general_steps(m: QuiverRep):
     """Subspace count, candidate step and certifier of a scan on any quiver:
-    the tuples of _enum_general, each candidate certified by its lifted tuple."""
+    the tuples of _enum_general, each candidate certified by its lifted
+    tuple, whose rows, lifted RREF rows, are integer rows with a leading 1."""
 
     def certify(pending, p, cands, first):
         witnesses = {}
         for vec in sorted(pending):
-            lifts = [_linalg.centered_lift(u, p).tolist() for u in cands[vec]]
-            wit = tuple(tuple(tuple(Fraction(x) for x in row) for row in u) for u in lifts)
+            wit = tuple(tuple(map(tuple, _linalg.centered_lift(u, p).tolist())) for u in cands[vec])
             if _check_general_witness(m, vec, wit):
                 witnesses[vec] = wit
         return witnesses
@@ -737,22 +759,20 @@ def _enum_general(m: QuiverRep, p: int, pending) -> dict:
 
 
 def _check_general_witness(m: QuiverRep, vec, bases) -> bool:
+    """bases, independent rows of the sizes vec at each vertex, span a subrep.
+
+    Each arrow must map the rows at its source into the span of those at its
+    target.  The rows may hold ints or Fractions; the images come from the
+    arrow's integer multiple (int_images), which scales each image and keeps
+    the span.
+    """
     for v in range(m.quiver.vertex_count):
-        rows = [list(r) for r in bases[v]]
-        if len(rows) != vec[v]:
+        if len(bases[v]) != vec[v] or (bases[v] and _linalg.int_rank(bases[v]) != vec[v]):
             return False
-        if rows and _linalg.int_rank(rows) != len(rows):
+    for (a, _), (s, t) in zip(_integer_arrows(m), m.quiver.arrows):
+        images = _linalg.int_images([a], bases[s])
+        if images and _linalg.int_rank([*bases[t], *images]) != vec[t]:
             return False
-    for idx, (s, t) in enumerate(m.quiver.arrows):
-        amat = [list(r) for r in m.matrices[idx]]
-        target = [list(r) for r in bases[t]]
-        tr = _linalg.int_rank(target) if target else 0
-        for r in bases[s]:
-            img = _linalg.frac_matvec(amat, list(r)) if amat else []
-            if not img:
-                continue
-            if _linalg.int_rank(target + [img]) != tr:
-                return False
     return True
 
 
@@ -816,20 +836,24 @@ def _subquotient(m: QuiverRep, lower, upper) -> QuiverRep:
     (frac_coordinates): the rows of lower and upper, then the images of
     the arrows into it, as columns.  Its pivots among the rows give the
     greedy pass, and its trailing columns the coordinates of the images.
+    The images are taken by each arrow's integer multiple (_integer_arrows),
+    so integer rows give integer images, and their coordinates are divided
+    by its lcm when that is not 1.  The rows are used as given, never
+    rescaled: the matrices are the coordinates in exactly those bases.
     """
     if not any(lower) and all(
         [list(r) for r in up] == [[int(i == j) for j in range(d)] for i in range(d)]
         for up, d in zip(upper, m.dims)
     ):
         return m
-    arrows = m.quiver.arrows
+    arrows, integer = m.quiver.arrows, _integer_arrows(m)
     bases: list = [None] * len(m.dims)
     mats: list = [None] * len(arrows)
     for t in m.quiver.topological_order():
         low, rows = lower[t], [*lower[t], *upper[t]]
         into = [(idx, s) for idx, (s, target) in enumerate(arrows) if target == t]
         imgs = [
-            [_linalg.frac_matvec(m.matrices[idx], r) for r in bases[s][len(lower[s]) :]]
+            [[sum(map(mul, row, r)) for row in integer[idx][0]] for r in bases[s][len(lower[s]) :]]
             for idx, s in into
         ]
         kept, coords = _linalg.frac_coordinates(rows, [v for block in imgs for v in block])
@@ -841,7 +865,8 @@ def _subquotient(m: QuiverRep, lower, upper) -> QuiverRep:
         coords = coords[len(low) :]
         col = 0
         for (idx, _), block in zip(into, imgs):
-            mats[idx] = [row[col : col + len(block)] for row in coords]
+            mat, lcm = [row[col : col + len(block)] for row in coords], integer[idx][1]
+            mats[idx] = mat if lcm == 1 else [[x / lcm for x in row] for row in mat]
             col += len(block)
     dims = tuple(len(b) - len(low) for b, low in zip(bases, lower))
     return make_rep(m.quiver, dims, mats)
@@ -933,13 +958,14 @@ def _select_destabilizer(order: PhaseOrder, cands, extractor):
 
 def _join_witnesses_from(top):
     """The join of the witnesses, one row space basis per vertex: the
-    nonzero rows of the reduced row echelon form of all their rows.
+    nonzero rows of the reduced row echelon form of all their rows, each as
+    its positive primitive multiple (int_rref).
 
     A row repeated across witnesses adds nothing to the span, so it is
-    eliminated once.
+    eliminated once; the rows are int tuples, cheap to hash.
     """
     joined = []
     for v in range(len(top[0][1])):
-        rref, pivots = _linalg.frac_rref(list(dict.fromkeys(r for _, bases in top for r in bases[v])))
-        joined.append(tuple(tuple(r) for r in rref[: len(pivots)]))
+        rows, _ = _linalg.int_rref(list(dict.fromkeys(r for _, bases in top for r in bases[v])))
+        joined.append(tuple(map(tuple, rows)))
     return tuple(joined)

@@ -182,6 +182,24 @@ def test_hn_past_the_oracle_bound_exits_3(capsys):
     assert code == 0
 
 
+def test_a_negative_oracle_bound_is_a_usage_error(capsys):
+    rep = "rep p2 1 1\n0\n0\n"
+    for argv in (
+        ["hn", "--rep", rep, "--charge=-1,1+1i"],
+        ["member", "--point", INTERIOR, "--chart", "2"],
+        ["stable-pair", "--point", SIGMA, "--window", "2"],
+    ):
+        for bound in ("-3", "three"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--oracle-bound", bound])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"argument --oracle-bound: a nonnegative integer is expected, not '{bound}'" in err
+    code, _, _ = run(capsys, ["hn", "--rep", rep, "--charge=-1,1+1i", "--oracle-bound", "0"])
+    assert code == 3
+
+
 def test_oracle_bound_leaves_the_environment_alone(capsys):
     before = dict(os.environ)
     for argv in (

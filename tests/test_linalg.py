@@ -429,6 +429,83 @@ def test_exact_kernel_matches_the_fraction_reference():
     assert _linalg.frac_solve([[], []], [[1], [0]]) is None
 
 
+def _primitive_cases():
+    """Integer and rational matrices, denominators 7 and 11, with zero rows
+    and columns, empty, rank-deficient and full-rank."""
+    rng = random.Random(28)
+    yield []
+    yield [[]]
+    yield [[0, 0, 0], [0, 0, 0]]
+    yield [[Fraction(0), Fraction(0)]]
+    for rows in range(1, 6):
+        for cols in range(1, 7):
+            full = [[0] * cols for _ in range(rows)]
+            for i in range(min(rows, cols)):
+                full[i][i] = rng.choice((-6, -2, 3, 4))
+                full[i][i + 1 :] = [rng.randint(-4, 4) for _ in range(cols - i - 1)]
+            yield full
+            for _ in range(4):
+                mats = (
+                    [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)],
+                    [[Fraction(rng.randint(-6, 6), rng.choice((1, 7, 11, 77))) for _ in range(cols)] for _ in range(rows)],
+                    # a common factor per row, which the gcd divides out
+                    [[rng.choice((2, -3, 6)) * rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)],
+                )
+                for m in mats:
+                    if rows > 1 and rng.random() < 0.3:
+                        m[rng.randrange(rows)] = [0] * cols
+                    if cols > 1 and rng.random() < 0.3:
+                        c = rng.randrange(cols)
+                        for row in m:
+                            row[c] = 0
+                    yield m
+
+
+def _positive_primitive(ints, fracs) -> bool:
+    """ints is a row of ints with gcd 1, a positive multiple of the Fraction row fracs."""
+    k = next((i for i, x in enumerate(fracs) if x), None)
+    if k is None or len(ints) != len(fracs) or any(type(x) is not int for x in ints):
+        return False
+    c = ints[k] / fracs[k]
+    return c > 0 and math.gcd(*ints) == 1 and all(x == c * y for x, y in zip(ints, fracs))
+
+
+def test_integer_readers_are_positive_primitive_multiples_of_the_fraction_readers():
+    count = 0
+    for rows in _primitive_cases():
+        ncols = len(rows[0]) if rows else 0
+        kernel, want = _linalg.int_kernel(rows, ncols), _linalg.frac_kernel(rows, ncols)
+        assert len(kernel) == len(want) and all(map(_positive_primitive, kernel, want)), rows
+        rref, pivots = _linalg.int_rref(rows)
+        frac, frac_pivots = _linalg.frac_rref(rows)
+        assert pivots == frac_pivots and len(rref) == len(pivots), rows
+        assert all(map(_positive_primitive, rref, frac)), rows
+        # the span basis is the reference RREF of the reversed columns, read back
+        basis, units = _linalg.span_and_complement(rows, ncols)
+        ref, ref_pivots = _reference_frac_rref([list(r)[::-1] for r in rows])
+        span = [row[::-1] for row in reversed(ref[: len(ref_pivots)])]
+        assert len(basis) == len(span) and all(map(_positive_primitive, basis, span)), rows
+        assert all(type(x) is int for u in units for x in u) and sorted(map(sum, units)) == [1] * len(units)
+        # integer rows fed back in keep their answers
+        assert _linalg.frac_rref(rref) == (frac[: len(pivots)], pivots), rows
+        assert _linalg.int_kernel(rref, ncols) == kernel, rows
+        count += len(kernel) + len(rref) + len(basis)
+    assert count > 1000
+
+
+def test_the_kernel_of_a_lifted_rref_is_read_off_its_rows():
+    # the centered lift of a mod-p RREF keeps its zeros and unit pivots
+    seen = 0
+    for p in (2, 3, 5):
+        for d in range(5):
+            for w in _linalg.all_subspaces_mod_p(d, p):
+                got = _linalg.lifted_kernel(w, p)
+                assert got == _linalg.frac_kernel(_linalg.centered_lift(w, p).tolist(), d), (w, p)
+                assert all(type(x) is int for row in got for x in row) and len(got) == d - len(w)
+                seen += 1
+    assert seen > 1000
+
+
 def test_frac_matvec_matches_the_naive_sum():
     rng = random.Random(12)
     for rows in _rational_cases():

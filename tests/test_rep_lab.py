@@ -950,10 +950,54 @@ def test_subquotient_against_the_sub_and_quotient_constructions():
         rep_lab._subquotient(split, wit[(1, 0)], wit[(0, 1)])
 
 
-def _proportional(row, other) -> bool:
-    """other is a nonzero multiple of row."""
-    k = next((i for i, x in enumerate(row) if x), None)
-    return k is not None and other[k] != 0 and [x * other[k] for x in row] == [y * row[k] for y in other]
+def _assert_primitive_witnesses(scan):
+    """Every witness row is a tuple of ints with gcd 1."""
+    for vec, bases in scan.witnesses.items():
+        assert len(bases) == len(vec)
+        for rows in bases:
+            for row in rows:
+                assert type(row) is tuple and all(type(x) is int for x in row), (vec, row)
+                assert math.gcd(*row) == 1, (vec, row)
+
+
+def _rational_rep(quiver, rng, dims):
+    """Entries with denominators 1, 7 and 11, which no enumeration prime divides."""
+    mats = [
+        [[Fraction(rng.randint(-3, 3), rng.choice((1, 7, 11))) for _ in range(dims[s])] for _ in range(dims[t])]
+        for s, t in quiver.arrows
+    ]
+    return rep_lab.make_rep(quiver, dims, mats)
+
+
+def test_witness_rows_are_primitive_integer_rows():
+    # two-vertex scans, dualized (smaller source) and not, and general
+    # three-vertex scans; each witness also spans the subrep it names
+    rng = random.Random(71)
+    two_vertex = Counter()
+    general = 0
+    for n in (2, 3):
+        q = kronecker_quiver(n)
+        for _ in range(40):
+            dims = (rng.randint(0, 4), rng.randint(0, 4))
+            if not any(dims):
+                continue
+            m = _rational_rep(q, rng, dims)
+            scan = rep_lab.subrep_dimvecs(m, 12)
+            _assert_primitive_witnesses(scan)
+            for bases in scan.witnesses.values():
+                assert rep_lab._subquotient(m, ((), ()), bases) == _sub_reference(m, bases)
+            two_vertex[dims[0] < dims[1]] += len(scan.witnesses)
+    for quiver in (Quiver("a3", 3, ((0, 1), (1, 2))), Quiver("fork", 3, ((0, 2), (1, 2), (0, 2)))):
+        for _ in range(12):
+            m = _rational_rep(quiver, rng, tuple(rng.randint(0, 2) for _ in range(3)))
+            scan = rep_lab.subrep_dimvecs(m, 12)
+            _assert_primitive_witnesses(scan)
+            none = tuple(() for _ in m.dims)
+            for vec, bases in scan.witnesses.items():
+                assert rep_lab._check_general_witness(m, vec, bases), vec
+                assert rep_lab._subquotient(m, none, bases) == _sub_reference(m, bases)
+                general += 1
+    assert min(two_vertex[True], two_vertex[False]) > 100 and general > 50
 
 
 def test_scaling_each_arrow_by_its_own_scalar():
@@ -965,7 +1009,7 @@ def test_scaling_each_arrow_by_its_own_scalar():
     # the same primes.
     rng = random.Random(67)
     scalars = (Fraction(1, 11), Fraction(13, 17), Fraction(-7, 19))
-    exact = rescaled = factors = 0
+    exact = factors = 0
     for n in (2, 3):
         q = kronecker_quiver(n)
         for _ in range(24):
@@ -983,17 +1027,20 @@ def test_scaling_each_arrow_by_its_own_scalar():
             )
             scan, got = rep_lab.subrep_dimvecs(m, 12), rep_lab.subrep_dimvecs(scaled, 12)
             assert (got.vectors, got.uncertified) == (scan.vectors, scan.uncertified)
+            _assert_primitive_witnesses(scan)
+            _assert_primitive_witnesses(got)
             for vec, bases in scan.witnesses.items():
                 if got.witnesses[vec] == bases:
                     exact += 1
                     continue
                 # a kernel vector of (lambda_1 A_1 ... lambda_n A_n) has the
                 # blocks of one of (A_1 ... A_n) over lambda_a, up to one
-                # scalar: such source rows agree up to a scalar each
+                # scalar, and each block is taken primitive: such source
+                # rows agree up to a sign each
                 src = [got.witnesses[vec][0], bases[0]]
                 assert got.witnesses[vec][1] == bases[1], vec
-                assert len(src[0]) == len(src[1]) and all(map(_proportional, *src)), vec
-                rescaled += 1
+                assert len(src[0]) == len(src[1]), vec
+                assert all(a in (b, tuple(-x for x in b)) for a, b in zip(*src)), vec
             none = ((), ())
             for vec, bases in got.witnesses.items():
                 assert rep_lab._subquotient(scaled, none, bases).dims == vec
@@ -1011,7 +1058,9 @@ def test_scaling_each_arrow_by_its_own_scalar():
                             for lam, mat in zip(scalars, f.matrices)
                         )
                         factors += 1
-    assert exact > 300 and rescaled > 0 and factors > 200
+    # primitive rows differ at most in sign: the four witnesses whose
+    # Fraction rows were proportional are equal as integer rows
+    assert exact > 330 and factors > 200
 
 
 def test_general_scan_with_an_empty_arrow_target():
