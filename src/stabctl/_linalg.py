@@ -19,8 +19,10 @@ integer readers return no Fraction at all: int_kernel, int_rref and
 span_and_complement give each basis row as its positive primitive multiple
 (integers with gcd 1), and lifted_kernel reads the kernel of a lifted mod-p
 reduced row echelon form off its rows with no elimination.  Their rows fed
-back in skip the scaling, which is how the subrepresentation witnesses of
-rep_lab stay integer rows from end to end.
+back in skip the scaling.  rep_lab hands in a representation's arrows as
+integers, all times one lcm of their denominators, so the reflections of
+the helix and the subrepresentation witnesses run on integer rows from end
+to end.
 
 There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
 stack (B, rows, cols), one row of every matrix per step, in int64.
@@ -90,12 +92,6 @@ def frac_matvec(a: Matrix, v: Row) -> Row:
         total = sum(row[k].numerator * (den // row[k].denominator) * x for k, x in vnum)
         out.append(_entry(total, den * vden))
     return out
-
-
-def integer_multiple(mat) -> list[list[int]]:
-    """mat times the lcm of all its denominators, one scalar for the matrix."""
-    lcm = math.lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (lcm // x.denominator) for x in row] for row in mat]
 
 
 def int_images(mats, rows) -> list[list[int]]:

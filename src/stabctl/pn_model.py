@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _linalg
 from . import exc_collections as xc
 from . import rep_lab
 from .chart_atlas import tokens_from_data, tokens_to_data
@@ -91,12 +90,12 @@ def _reflect(rep):
     The new source is the kernel of (A_1 ... A_n): V_src^n -> V_snk, the
     new sink is V_src, and arrow a takes a kernel vector to its a-th block,
     so dims (d0, d1) become (n*d0 - d1, d0) (Bernstein, Gelfand and
-    Ponomarev, "Coxeter functors and Gabriel's theorem", 1973).
+    Ponomarev, "Coxeter functors and Gabriel's theorem", 1973).  The kernel
+    is that of the integer arrows, each vector primitive (_joint_kernel).
     """
     d0, d1 = rep.dims
     n = len(rep.matrices)
-    rows = [[x for mat in rep.matrices for x in mat[i]] for i in range(d1)]
-    kern = _linalg.frac_kernel(rows, n * d0)
+    kern = rep_lab._joint_kernel(rep_lab._integer_arrows(rep)[0], d0)
     if len(kern) != n * d0 - d1:
         raise RuntimeError("the arrows fail to be jointly surjective")
     mats = [[[v[a * d0 + i] for v in kern] for i in range(d0)] for a in range(n)]
@@ -398,10 +397,14 @@ def overlap_scan(
     membership test put them on the chart at h, and are they in the orbit
     of the reference point.  Both are closed forms in the phase gap, so
     this checks formula against formula.  Any disagreement is returned
-    as a counterexample.
+    as a counterexample.  Equal charts are refused, and so, for one arrow,
+    are charts a multiple of three apart: S_{j+3} = S_j[-1], so they carry
+    one pair up to shift and theta_member holds everywhere on them.
     """
     if k == h:
         raise ValueError("overlap needs two distinct chart indices")
+    if n == 1 and (k - h) % 3 == 0:
+        raise ValueError(f"for one arrow charts {k} and {h} carry the same pair up to shift")
     if samples < 0:
         raise ValueError(f"overlap needs a nonnegative sample count, not {samples}")
     counterexamples = []

@@ -67,9 +67,11 @@ Mat = tuple[tuple[Fraction, ...], ...]
 
 
 def _freeze_matrix(rows, nrows: int, ncols: int) -> Mat:
+    # the integer entries of a helix module are mostly zeros, which share one
+    # Fraction; a type test skips the slower isinstance of an abstract class
     out = []
     for row in rows:
-        out.append(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row))
+        out.append(tuple(x if type(x) is Fraction else _linalg.ZERO if x == 0 else Fraction(x) for x in row))
     if len(out) != nrows or any(len(r) != ncols for r in out):
         raise ValueError(f"matrix must be {nrows}x{ncols}")
     return tuple(out)
@@ -94,11 +96,11 @@ class QuiverRep:
     def _memo(self) -> dict:
         """Per-instance results that depend only on the representation.
 
-        The dual ("dual"), the lcm of the denominators ("lcm"), each
-        arrow's integer multiple with its lcm ("integer"), the entries mod
-        each prime p (key p) and, as the target of a reduced Hom
-        system, the nonzero entries of the left kernel of the stacked arrows
-        mod p with its row count and their rank (key ("left-kernel", p)).
+        The dual ("dual"), the arrows times the lcm L of all the
+        denominators with L ("integer"), the entries mod each prime p
+        (key p) and, as the target of a reduced Hom system, the nonzero
+        entries of the left kernel of the stacked arrows mod p with its row
+        count and their rank (key ("left-kernel", p)).
         Like the hash they are kept on the instance, outside the fields, so
         equality and hashing stay structural.
         """
@@ -188,12 +190,14 @@ def parse_rep(text: str, quiver: Quiver) -> QuiverRep:
     pos = 0
     for s, t in quiver.arrows:
         block = []
-        for _ in range(dims[t]):
+        # rows without entries print as blank lines, which are skipped, so
+        # such a block reads no line
+        for _ in range(dims[t] if dims[s] else 0):
             if pos >= len(flat) or len(flat[pos]) != dims[s]:
                 raise ValueError("matrix block shape mismatch")
             block.append([parse_rational(x) for x in flat[pos]])
             pos += 1
-        mats.append(block)
+        mats.append(block if dims[s] else [[]] * dims[t])
     if pos != len(flat):
         raise ValueError("trailing data after matrix blocks")
     return make_rep(quiver, dims, mats)
@@ -218,8 +222,8 @@ def _system(m: QuiverRep, n: QuiverRep, arrows_m, arrows_n) -> np.ndarray:
     gives the rows (i, j) of f_t A_a - B_a f_s, that is the blocks
     I (x) A_a^T at the columns of f_t and -(B_a (x) I) at those of f_s,
     placed by slices, since np.kron would multiply every entry.  The arrows
-    are int64 arrays for a system mod p, or object arrays of Fractions for
-    an exact one.
+    are int64 arrays for a system mod p, or object arrays of ints for an
+    exact one.
     """
     offs = np.cumsum([0, *(a * b for a, b in zip(m.dims, n.dims))]).tolist()
     row_counts = [n.dims[t] * m.dims[s] for s, t in m.quiver.arrows]
@@ -236,47 +240,35 @@ def _system(m: QuiverRep, n: QuiverRep, arrows_m, arrows_n) -> np.ndarray:
     return system
 
 
-def _matrix_mod_p(mat, p: int) -> np.ndarray:
-    """Fraction rows mod p, with one inverse per distinct denominator."""
-    dens = {x.denominator for row in mat for x in row}
-    inverse = {d: pow(d, p - 2, p) if d != 1 else 1 for d in dens}
-    out = [[x.numerator * inverse[x.denominator] % p for x in row] for row in mat]
-    return np.array(out, dtype=np.int64).reshape(len(mat), len(mat[0]) if mat else 0)
+def _integer_arrows(m: QuiverRep) -> tuple[list[list[list[int]]], int]:
+    """m's arrow matrices times L, the lcm of all m's denominators, with L, kept on m.
 
-
-def _denominator_lcm(m: QuiverRep) -> int:
-    """The lcm of the denominators of m's entries, kept on m.
-
-    A prime divides a denominator exactly when it divides this lcm.
+    The one reader of m's Fraction entries; every other takes this form.
+    One scalar for all the arrows keeps every kernel, rank and span of
+    images, and a prime divides a denominator exactly when it divides L.
     """
     memo = m._memo()
-    if "lcm" not in memo:
-        memo["lcm"] = math.lcm(*(x.denominator for mat in m.matrices for row in mat for x in row))
-    return memo["lcm"]
-
-
-def _integer_arrows(m: QuiverRep) -> list[tuple[list[list[int]], int]]:
-    """Each arrow matrix of m times the lcm of its denominators, with that lcm, kept on m."""
-    memo = m._memo()
     if "integer" not in memo:
-        memo["integer"] = [
-            (_linalg.integer_multiple(mat), math.lcm(*(x.denominator for row in mat for x in row)))
-            for mat in m.matrices
-        ]
+        lcm = math.lcm(*(x.denominator for mat in m.matrices for row in mat for x in row))
+        scaled = [[[x.numerator * (lcm // x.denominator) for x in row] for row in mat] for mat in m.matrices]
+        memo["integer"] = scaled, lcm
     return memo["integer"]
 
 
 def _flat_mod_p(m: QuiverRep, p: int) -> np.ndarray:
     """m's entries mod p, arrow after arrow and row by row, kept on m.
 
-    The entries are converted once per prime, for a prime dividing no
-    denominator, into one read-only array.
+    For a prime dividing no denominator, the integer entries
+    (_integer_arrows) times L^-1 mod p, once per prime, in one read-only
+    array.
     """
-    if _denominator_lcm(m) % p == 0:
+    arrows, lcm = _integer_arrows(m)
+    if lcm % p == 0:
         raise ValueError(f"p = {p} divides a denominator, so the rep has no reduction mod p")
     memo = m._memo()
     if p not in memo:
-        flat = _matrix_mod_p([[x for mat in m.matrices for row in mat for x in row]], p)[0]
+        inverse = pow(lcm, -1, p)
+        flat = np.array([x * inverse % p for a in arrows for row in a for x in row], dtype=np.int64)
         flat.flags.writeable = False
         memo[p] = flat
     return memo[p]
@@ -310,6 +302,14 @@ def _source_vertex(q: Quiver) -> int | None:
     if len(srcs) != 1:
         return None
     return srcs.pop()
+
+
+def _joint_kernel(arrows, width: int) -> list[list[int]]:
+    """The kernel of the joint map (A_1 ... A_n) of integer matrices of width
+    columns, each vector its positive primitive multiple (int_kernel); on a
+    rep's integer arrows, the kernel of the reflection at the sink."""
+    rows = [[x for a in arrows for x in a[i]] for i in range(len(arrows[0]))]
+    return _linalg.int_kernel(rows, len(arrows) * width)
 
 
 def _target_kernel(n: QuiverRep, p: int) -> tuple[tuple[np.ndarray, ...], int, int]:
@@ -419,6 +419,7 @@ def hom_ext(m: QuiverRep, n: QuiverRep) -> HomExt:
         return hom_ext(dual(n), dual(m))
     chi = euler_pair(euler_matrix(m.quiver), m.dims, n.dims)
     arrows = m.quiver.arrows
+    (ints_m, lcm_m), (ints_n, lcm_n) = _integer_arrows(m), _integer_arrows(n)
     total = sum(a * b for a, b in zip(m.dims, n.dims))
     solve, primes = _hom_mod_p_reduced, LARGE_PRIMES
     if src is None:
@@ -427,7 +428,7 @@ def hom_ext(m: QuiverRep, n: QuiverRep) -> HomExt:
         if rows_count * total * min(rows_count, total) > 3_000_000_000:
             primes = ()
     for p in primes:
-        if _denominator_lcm(m) % p == 0 or _denominator_lcm(n) % p == 0:
+        if lcm_m % p == 0 or lcm_n % p == 0:
             continue
         hom_p = solve(m, n, p)
         if hom_p == max(chi, 0):
@@ -435,10 +436,11 @@ def hom_ext(m: QuiverRep, n: QuiverRep) -> HomExt:
     # uncertified: fall back to exact arithmetic when at all feasible
     if total > 400:
         raise OracleBoundError(f"hom system with {total} unknowns is uncertified and too large")
-    # the Fraction arrows as object arrays, shaped also when empty
+    # the integer arrows as object arrays, shaped also when empty: m's
+    # times L_n and n's times L_m scale the whole system by L_m L_n
     exact = [
-        [np.array(mat, dtype=object).reshape(r.dims[t], r.dims[s]) for mat, (s, t) in zip(r.matrices, arrows)]
-        for r in (m, n)
+        [np.array(a, dtype=object).reshape(r.dims[t], r.dims[s]) * scale for a, (s, t) in zip(ints, arrows)]
+        for r, ints, scale in ((m, ints_m, lcm_n), (n, ints_n, lcm_m))
     ]
     hom = total - _linalg.int_rank(_system(m, n, *exact).tolist())
     return HomExt(hom, hom - chi, "exact-fallback")
@@ -570,7 +572,7 @@ def _enum_primes(m: QuiverRep, count) -> list[int]:
         raise OracleBoundError("subspace enumeration too large")
     primes = []
     for p in ENUM_PRIMES + (7, 11, 13, 17, 19, 23):
-        if _denominator_lcm(m) % p == 0:
+        if _integer_arrows(m)[1] % p == 0:
             continue
         size = count(p)
         if size <= PRIME_ENUM_BUDGET or (not primes and size <= HARD_ENUM_BUDGET):
@@ -631,22 +633,19 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool
       into the annihilator of each independent prefix of blocks.
 
     A kernel or a span basis is the same for any nonzero multiple of any
-    input row, so every row here is an integer row: each arrow matrix and
-    its transpose times one scalar, the lcm of all its denominators
-    (_integer_arrows), and each source, functional and sink row its
+    input row, so every row here is an integer row: the arrows, their
+    transposes and both joint maps (_joint_kernel) times the one scalar L
+    of _integer_arrows, and each source, functional and sink row its
     positive primitive multiple, as the integer readers of _linalg return
-    it.  One scalar per matrix keeps each image a multiple of the true one;
-    a scalar per row of a matrix would scale the coordinates of its images
-    unevenly and change their span.  The joint maps mix the arrows, so they
-    keep their Fraction entries; only their kernels are read, as integer
-    rows too.  So the witness bases are primitive integer rows, each the
-    positive multiple of a rational row of U or of the span basis, and no
-    Fraction is built.
+    it.  One scalar for every arrow keeps each image a multiple of the true
+    one; a scalar per row of a matrix would scale the coordinates of its
+    images unevenly and change their span.  So the witness bases are
+    primitive integer rows, each the positive multiple of a rational row of
+    U or of the span basis, and no Fraction is built.
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
-    narr = len(m.matrices)
-    arrows = [a for a, _ in _integer_arrows(m)]
+    arrows, _ = _integer_arrows(m)
     transposed = [[[a[i][j] for i in range(d_snk)] for j in range(d_src)] for a in arrows]
     todo = sorted(candidates, key=lambda vec: (vec[1 - src], -vec[src]))
     witnesses = {}
@@ -663,9 +662,9 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool
         when a greedy pass keeps each of them.
         """
         for row in rows:
-            blocks = [_linalg.primitive(row[a * width : (a + 1) * width]) for a in range(narr)]
+            blocks = [_linalg.primitive(row[a * width : (a + 1) * width]) for a in range(len(arrows))]
             kept, _ = _linalg.frac_coordinates(blocks, [])
-            for k in range(1, narr + 1):
+            for k in range(1, len(arrows) + 1):
                 if kept[:k] != list(range(k)):
                     break
                 yield blocks[:k]
@@ -678,11 +677,8 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool
             yield kernel if dualize else preimage(kernel)
         if not joint:
             return
-        # the joint maps mix the arrows, so they keep the rational entries
-        joint_map = [[x for mat in m.matrices for x in mat[i]] for i in range(d_snk)]
-        yield from prefixes(_linalg.int_kernel(joint_map, narr * d_src), d_src)
-        joint_map = [[mat[i][j] for mat in m.matrices for i in range(d_snk)] for j in range(d_src)]
-        for ann in prefixes(_linalg.int_kernel(joint_map, narr * d_snk), d_snk):
+        yield from prefixes(_joint_kernel(arrows, d_src), d_src)
+        for ann in prefixes(_joint_kernel(transposed, d_snk), d_snk):
             yield preimage(ann)
 
     for urows in sources():
@@ -725,8 +721,10 @@ def _enum_general(m: QuiverRep, p: int, pending) -> dict:
 
     A tuple takes one RREF basis per vertex, vertices in index order and
     dimensions ascending, and keeps a basis when every arrow between its
-    vertex and an earlier one maps the source into the target.  With
-    pending, only tuples whose dims begin a pending vector are followed.
+    vertex and an earlier one maps the source into the target: each basis
+    U comes with the rows C annihilating it (subspace_blocks_mod_p), and
+    A_a maps U_s into U_t when C_t A_a U_s^T is zero mod p.  With pending,
+    only tuples whose dims begin a pending vector are followed.
     """
     n, amats = len(m.dims), _arrows_mod_p(m, p)
     # the arrows checked at each vertex: those whose later end it is
@@ -735,23 +733,20 @@ def _enum_general(m: QuiverRep, p: int, pending) -> dict:
     subspaces: dict = {}
     found: dict = {}
 
-    def maps_into(us, ut, amat):
-        # ut is an RREF basis, so its rank is its row count
-        return us.shape[0] == 0 or _linalg.mod_p_rank(np.vstack([ut, us @ amat.T % p]), p) == ut.shape[0]
-
     def rec(chosen, dims):
         v = len(chosen)
         if v == n:
-            found.setdefault(dims, tuple(chosen))
+            found.setdefault(dims, tuple(u for u, _ in chosen))
             return
         for e in range(m.dims[v] + 1):
             if heads is not None and dims + (e,) not in heads:
                 continue
             if (m.dims[v], e) not in subspaces:
-                subspaces[m.dims[v], e] = list(_linalg.subspaces_mod_p(m.dims[v], e, p))
-            for u in subspaces[m.dims[v], e]:
-                tup = chosen + [u]
-                if all(maps_into(tup[s], tup[t], amats[a]) for a, s, t in closing[v]):
+                blocks = _linalg.subspace_blocks_mod_p(m.dims[v], e, p)
+                subspaces[m.dims[v], e] = [pair for w, c in blocks for pair in zip(w, c)]
+            for pair in subspaces[m.dims[v], e]:
+                tup = chosen + [pair]
+                if not any((tup[t][1] @ amats[a] @ tup[s][0].T % p).any() for a, s, t in closing[v]):
                     rec(tup, dims + (e,))
 
     rec([], ())
@@ -763,13 +758,13 @@ def _check_general_witness(m: QuiverRep, vec, bases) -> bool:
 
     Each arrow must map the rows at its source into the span of those at its
     target.  The rows may hold ints or Fractions; the images come from the
-    arrow's integer multiple (int_images), which scales each image and keeps
-    the span.
+    integer arrows (_integer_arrows, int_images), which scale each image
+    and keep the span.
     """
     for v in range(m.quiver.vertex_count):
         if len(bases[v]) != vec[v] or (bases[v] and _linalg.int_rank(bases[v]) != vec[v]):
             return False
-    for (a, _), (s, t) in zip(_integer_arrows(m), m.quiver.arrows):
+    for a, (s, t) in zip(_integer_arrows(m)[0], m.quiver.arrows):
         images = _linalg.int_images([a], bases[s])
         if images and _linalg.int_rank([*bases[t], *images]) != vec[t]:
             return False
@@ -836,24 +831,25 @@ def _subquotient(m: QuiverRep, lower, upper) -> QuiverRep:
     (frac_coordinates): the rows of lower and upper, then the images of
     the arrows into it, as columns.  Its pivots among the rows give the
     greedy pass, and its trailing columns the coordinates of the images.
-    The images are taken by each arrow's integer multiple (_integer_arrows),
-    so integer rows give integer images, and their coordinates are divided
-    by its lcm when that is not 1.  The rows are used as given, never
-    rescaled: the matrices are the coordinates in exactly those bases.
+    The images are taken by the integer arrows, m's arrows times L
+    (_integer_arrows), so integer rows give integer images, and their
+    coordinates are divided by L when it is not 1.  The rows are used as
+    given, never rescaled: the matrices are the coordinates in exactly
+    those bases.
     """
     if not any(lower) and all(
         [list(r) for r in up] == [[int(i == j) for j in range(d)] for i in range(d)]
         for up, d in zip(upper, m.dims)
     ):
         return m
-    arrows, integer = m.quiver.arrows, _integer_arrows(m)
+    arrows, (integer, lcm) = m.quiver.arrows, _integer_arrows(m)
     bases: list = [None] * len(m.dims)
     mats: list = [None] * len(arrows)
     for t in m.quiver.topological_order():
         low, rows = lower[t], [*lower[t], *upper[t]]
         into = [(idx, s) for idx, (s, target) in enumerate(arrows) if target == t]
         imgs = [
-            [[sum(map(mul, row, r)) for row in integer[idx][0]] for r in bases[s][len(lower[s]) :]]
+            [[sum(map(mul, row, r)) for row in integer[idx]] for r in bases[s][len(lower[s]) :]]
             for idx, s in into
         ]
         kept, coords = _linalg.frac_coordinates(rows, [v for block in imgs for v in block])
@@ -865,7 +861,7 @@ def _subquotient(m: QuiverRep, lower, upper) -> QuiverRep:
         coords = coords[len(low) :]
         col = 0
         for (idx, _), block in zip(into, imgs):
-            mat, lcm = [row[col : col + len(block)] for row in coords], integer[idx][1]
+            mat = [row[col : col + len(block)] for row in coords]
             mats[idx] = mat if lcm == 1 else [[x / lcm for x in row] for row in mat]
             col += len(block)
     dims = tuple(len(b) - len(low) for b, low in zip(bases, lower))

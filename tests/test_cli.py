@@ -212,6 +212,12 @@ def test_oracle_bound_leaves_the_environment_alone(capsys):
         assert dict(os.environ) == before
 
 
+def test_hn_of_a_rep_with_a_zero_dimensional_source(capsys):
+    code, out, _ = run(capsys, ["hn", "--rep", "rep p2 0 2\n", "--charge=-1,1+1i"])
+    assert code == 0
+    assert json.loads(out) == {"factors": [{"charge": "2+2i", "dims": [0, 2]}]}
+
+
 def test_hn_single_stable_factor(capsys):
     rep = "rep p2 1 2\n1\n0\n0\n1\n"
     code, out, _ = run(
@@ -411,6 +417,18 @@ def test_overlap_takes_no_oracle_bound(capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --oracle-bound 12" in capsys.readouterr().err
+
+
+def test_overlap_refuses_one_arrow_charts_three_apart(capsys):
+    # S_{j+3} = S_j[-1], so such charts carry one pair and every point is a
+    # member of both, in the orbit or not
+    for chart, other in (("0", "3"), ("1", "-5")):
+        argv = ["overlap", "--arrows", "1", "--chart", chart, "--other", other, "--samples", "3"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: for one arrow charts {chart} and {other} carry the same pair up to shift\n"
+    code, out, _ = run(capsys, ["overlap", "--arrows", "1", "--chart", "0", "--other", "2", "--samples", "20"])
+    assert code == 0 and json.loads(out)["agree"] == 20
 
 
 def test_overlap_refuses_a_negative_sample_count(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from stabctl import chart_atlas as ca
-from stabctl import cli, gl_action, pn_model, rep_lab, verify
+from stabctl import _linalg, cli, gl_action, pn_model, rep_lab, verify
 from stabctl.klattice import CentralCharge, PhaseToken, euler_pair, gauss, kronecker_quiver
 
 
@@ -85,6 +85,26 @@ def test_reflecting_the_source_simple_gives_unit_rows():
         want = rep_lab.make_rep(q, (n, 1), units)
         assert pn_model._reflect(rep_lab.vertex_simple(q, 0)) == want
         assert pn_model.s_rep(n, -1) == want
+
+
+def _frac_kernel_reflection(rep):
+    """The reflection at the sink with the Fraction kernel of the Fraction joint map."""
+    d0, d1 = rep.dims
+    n = len(rep.matrices)
+    rows = [[x for mat in rep.matrices for x in mat[i]] for i in range(d1)]
+    kern = _linalg.frac_kernel(rows, n * d0)
+    mats = [[[v[a * d0 + i] for v in kern] for i in range(d0)] for a in range(n)]
+    return rep_lab.make_rep(rep.quiver, (len(kern), d0), mats)
+
+
+def test_the_helix_matrices_are_those_of_the_fraction_kernel():
+    # on the helix each Fraction kernel vector is integral with a 1 at its
+    # free column, so it is its own primitive multiple: the integer joint
+    # kernel gives the same matrices, on 18 reflections
+    cases = [(n, k) for n, low in ((1, -2), (2, -6), (3, -6), (4, -4)) for k in range(-1, low - 1, -1)]
+    assert len(cases) == 18
+    for n, k in cases:
+        assert pn_model.s_rep(n, k).matrices == _frac_kernel_reflection(pn_model.s_rep(n, k + 1)).matrices, (n, k)
 
 
 def test_reflecting_the_sink_simple_is_refused():

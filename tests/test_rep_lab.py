@@ -22,6 +22,8 @@ from stabctl.klattice import (
     OracleBoundError,
     PhaseToken,
     Quiver,
+    euler_matrix,
+    euler_pair,
     gauss,
     kronecker_quiver,
     phase_compare,
@@ -356,6 +358,39 @@ def test_the_exact_intertwiner_system_reduces_to_the_modular_one():
             assert exact.shape[1] == sum(x * y for x, y in zip(a.dims, b.dims))
             reduced = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in exact.tolist()]
             assert reduced == (modular % p).tolist()
+
+
+def test_the_exact_fallback_ranks_one_multiple_of_the_rational_system(monkeypatch):
+    # the integer system takes m's arrows times L_n and n's times L_m, so the
+    # whole system is scaled by one scalar also when L_m != L_n.  Scaling one
+    # side alone keeps the rank on a quiver graded by path length, but not
+    # between two triangle bricks: a map (1, 1, 1/2) -> (c, d, e) needs
+    # c d / 2 = e, which (1/3, 1, 1/6) meets and (2, 6, 1) / (2, 2, 1) does not
+    rng = random.Random(56)
+
+    def rep(quiver, dims, dens):
+        mats = [
+            [[Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(dims[s])] for _ in range(dims[t])]
+            for s, t in quiver.arrows
+        ]
+        return rep_lab.make_rep(quiver, dims[: quiver.vertex_count], mats)
+
+    brick = rep_lab.make_rep(TRIANGLE, (1, 1, 1), [[[1]], [[1]], [[Fraction(1, 2)]]])
+    other = rep_lab.make_rep(TRIANGLE, (1, 1, 1), [[[Fraction(1, 3)]], [[1]], [[Fraction(1, 6)]]])
+    pairs = [(brick, other), (other, brick)]
+    for quiver in (kronecker_quiver(2), A3, FORK, TRIANGLE):
+        pairs += [(rep(quiver, (2, 1, 2), (1, 2)), rep(quiver, (1, 2, 2), (1, 3, 5))) for _ in range(12)]
+    monkeypatch.setattr(rep_lab, "_hom_mod_p_full", lambda m, n, p: -1)
+    monkeypatch.setattr(rep_lab, "_hom_mod_p_reduced", lambda m, n, p: -1)
+    rep_lab.hom_ext.cache_clear()
+    for a, b in pairs:
+        system = rep_lab._system(a, b, _exact_arrows(a), _exact_arrows(b))
+        hom = system.shape[1] - _linalg.int_rank(system.tolist())
+        chi = euler_pair(euler_matrix(a.quiver), a.dims, b.dims)
+        assert rep_lab.hom_ext(a, b) == rep_lab.HomExt(hom, hom - chi, "exact-fallback")
+    assert rep_lab.hom_ext(brick, other).hom == rep_lab.hom_ext(other, brick).hom == 1
+    rep_lab.hom_ext.cache_clear()
+    assert sum(rep_lab._integer_arrows(a)[1] != rep_lab._integer_arrows(b)[1] for a, b in pairs) > 40
 
 
 def test_the_self_hom_of_a_direct_sum_takes_the_exact_fallback():
@@ -1284,6 +1319,17 @@ def test_rep_text_round_trip():
             rep_lab.parse_rep(short, q)
 
 
+def test_a_zero_dimensional_source_reads_no_line():
+    # its rows hold no entry, so they print as blank lines, which are skipped
+    a3 = Quiver("a3", 3, ((0, 1), (1, 2)))
+    for m in (
+        rep_lab.make_rep(kronecker_quiver(2), (0, 2), [[[], []], [[], []]]),
+        rep_lab.make_rep(a3, (0, 1, 1), [[[]], [[Fraction(-2, 3)]]]),
+    ):
+        assert rep_lab.parse_rep(rep_lab.format_rep(m), m.quiver) == m
+    assert rep_lab.parse_rep("rep p2 0 2\n", kronecker_quiver(2)).dims == (0, 2)
+
+
 def test_verdicts_are_over_the_rationals():
     # End(M) is QQ(sqrt 2): over QQ(sqrt 2) the eigenvectors of B span a
     # (1, 1) subrep of M's phase, but over QQ there is none, so M is stable
@@ -1306,14 +1352,23 @@ def test_frac_inverse():
         _linalg.frac_inverse(_linalg.frac_matrix([[1, 2, 3], [4, 5, 6]]))
 
 
-def test_matrix_mod_p_and_the_rep_hash():
+def _entries_mod_p(mat, p):
+    return [[x.numerator * pow(x.denominator, p - 2, p) % p for x in row] for row in mat]
+
+
+def test_arrows_mod_p_and_the_rep_hash():
+    # each arrow's entries mod p over one lcm L of every denominator, L = 7 * 11 * 6
+    # here, equal the entries read one by one
     rng = random.Random(58)
     p = 10007
-    mat = [[Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 3, 7))) for _ in range(5)] for _ in range(4)]
-    want = [[x.numerator * pow(x.denominator, p - 2, p) % p for x in row] for row in mat]
-    assert rep_lab._matrix_mod_p(mat, p).tolist() == want
-    assert rep_lab._matrix_mod_p([[], []], p).shape == (2, 0)
     q = kronecker_quiver(2)
+    dens = ((1, 1, 2, 3, 7), (1, 11))
+    mats = [[[Fraction(rng.randint(-50, 50), rng.choice(d)) for _ in range(5)] for _ in range(4)] for d in dens]
+    m = rep_lab.make_rep(q, (5, 4), mats)
+    assert rep_lab._integer_arrows(m)[1] == math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
+    assert [x.tolist() for x in rep_lab._arrows_mod_p(m, p)] == [_entries_mod_p(mat, p) for mat in m.matrices]
+    empty = rep_lab.make_rep(q, (0, 2), [[[], []], [[], []]])
+    assert [x.shape for x in rep_lab._arrows_mod_p(empty, p)] == [(2, 0), (2, 0)]
     a = _random_rep(q, rng, dims=(3, 2))
     b = rep_lab.make_rep(q, a.dims, a.matrices)
     assert a == b and a is not b
@@ -1329,7 +1384,7 @@ def test_dual_and_arrows_mod_p_are_kept_on_the_rep():
     assert rep_lab.dual(d) is a and rep_lab.dual(a) is d
     p = 10007
     arrows = rep_lab._arrows_mod_p(a, p)
-    assert [x.tolist() for x in arrows] == [rep_lab._matrix_mod_p(mat, p).tolist() for mat in a.matrices]
+    assert [x.tolist() for x in arrows] == [_entries_mod_p(mat, p) for mat in a.matrices]
     assert rep_lab._arrows_mod_p(a, p)[0].base is arrows[0].base
     assert not any(x.flags.writeable for x in arrows)
     # the stack of a parallel quiver is a view of the same array, shaped by
@@ -1464,6 +1519,29 @@ def test_general_scan_with_primes_on_demand_against_the_scan_over_every_prime(mo
         assert got == _general_scan_over_every_prime(m), m
     # a third of the scans need a later prime, so the comparison is not vacuous
     assert later > scans / 3
+
+
+def test_enum_general_against_the_tuples_of_every_subspace():
+    # the annihilator test of each closing arrow keeps the candidates and the
+    # first tuple of each that a rank test over every tuple of subspaces finds
+    rng = random.Random(64)
+    tree = Quiver("tree", 4, ((0, 1), (2, 1), (1, 3)))
+    for quiver in (*GENERAL_QUIVERS, tree):
+        for p in (2, 3):
+            for _ in range(10):
+                m = _random_rep(quiver, rng, top=2)
+                amats = rep_lab._arrows_mod_p(m, p)
+                want = {}
+                for tup in product(*(list(_linalg.all_subspaces_mod_p(d, p)) for d in m.dims)):
+                    if all(_maps_into_mod_p(tup[s], tup[t], a, p) for (s, t), a in zip(quiver.arrows, amats)):
+                        want.setdefault(tuple(u.shape[0] for u in tup), [u.tolist() for u in tup])
+                got = rep_lab._enum_general(m, p, None)
+                assert {vec: [u.tolist() for u in tup] for vec, tup in got.items()} == want, m
+                pending = set(rng.sample(sorted(want), len(want) // 2))
+                got = rep_lab._enum_general(m, p, pending)
+                assert {vec: [u.tolist() for u in tup] for vec, tup in got.items()} == {
+                    vec: want[vec] for vec in pending
+                }
 
 
 def test_a_general_scan_follows_a_later_prime_only_toward_open_vectors(monkeypatch):
