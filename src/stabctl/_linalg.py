@@ -27,7 +27,10 @@ to end.
 There is one mod-p elimination kernel, _eliminate: Gauss-Jordan on a
 stack (B, rows, cols), one row of every matrix per step, in int64.
 mod_p_rank ranks a whole stack with it, which is how subspace enumeration
-ranks a block of up to CHUNK small matrices at once.  A single matrix is
+ranks up to CHUNK small matrices at once.  subspace_stack_mod_p builds such
+a stack of subspaces, and the rows annihilating each, across pivot patterns
+and dimensions, every annihilator padded with zero rows to one shape: a
+zero row leaves every rank unchanged.  A single matrix is
 ranked from the list of its nonzero entries (mod_p_rank_entries): its
 singleton rows and columns, each a pivot of its own, are peeled off the
 list (_peel), which ranks a sparse Hom system mostly without arithmetic,
@@ -78,19 +81,6 @@ def frac_matmul(a: Matrix, b: Matrix) -> Matrix:
     out = []
     for row in a:
         out.append([sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)])
-    return out
-
-
-def frac_matvec(a: Matrix, v: Row) -> Row:
-    """A v, each entry one integer sum over a common denominator."""
-    nonzero = [(k, x) for k, x in enumerate(v) if x]
-    vden = math.lcm(*(x.denominator for _, x in nonzero))
-    vnum = [(k, x.numerator * (vden // x.denominator)) for k, x in nonzero]
-    out = []
-    for row in a:
-        den = math.lcm(*(row[k].denominator for k, _ in vnum))
-        total = sum(row[k].numerator * (den // row[k].denominator) * x for k, x in vnum)
-        out.append(_entry(total, den * vden))
     return out
 
 
@@ -496,38 +486,65 @@ def count_subspaces(d: int, p: int) -> int:
     return sum(gaussian_binomial(d, e, p) for e in range(d + 1))
 
 
-def subspace_blocks_mod_p(d: int, e: int, p: int):
-    """The e-dimensional subspaces of F_p^d, at most CHUNK at a time.
+def subspace_stack_mod_p(d: int, parts, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of subspaces of F_p^d, of one or more dimensions, in one stack.
 
-    Yields (w, c) per block: w (B x e x d) holds RREF bases that share one
-    pivot pattern and c (B x (d - e) x d) the rows annihilating each.  Pivot
-    patterns come in lexicographic order and, within one, the free entries
-    count up with the last one fastest.
+    parts lists (e, start, stop), the e-dimensional subspaces of scan
+    indices start to stop - 1.  Scan order takes the pivot patterns in
+    lexicographic order and, within one, counts up the free entries, the
+    last one fastest.  Returns (w, c), each B x d x d with a matrix per
+    subspace in the order of parts: the first e rows of w are the RREF
+    basis and the first d - e rows of c annihilate it, the other rows of
+    both zero.  Row r of c is the unit vector at the r-th column j that
+    holds no pivot, minus w[i, j] at the pivot column of each row i.
+
+    So each entry of w and c is a constant 0 or 1, a base-p digit of the
+    subspace's index within its pivot pattern, or minus such a digit mod p
+    (a w[i, j] left of row i's pivot is 0, and so is its c entry).  Each
+    pattern gets one table of those rules, and the whole stack is read off
+    the tables in one set of array operations however many patterns and
+    dimensions it crosses.
     """
-    for piv in combinations(range(d), e):
-        rest = [j for j in range(d) if j not in piv]
-        slots = [(i, j) for i in range(e) for j in rest if j > piv[i]]
-        piv, rest = np.array(piv, dtype=np.intp), np.array(rest, dtype=np.intp)
-        total = p ** len(slots)
-        for start in range(0, total, CHUNK):
-            k = np.arange(start, min(start + CHUNK, total))
-            w = np.zeros((k.size, e, d), dtype=np.int64)
-            w[:, np.arange(e), piv] = 1
-            for i, j in reversed(slots):
-                w[:, i, j] = k % p
-                k = k // p
-            c = np.zeros((w.shape[0], d - e, d), dtype=np.int64)
-            c[:, np.arange(d - e), rest] = 1
-            c[:, :, piv] = -w[:, :, rest].transpose(0, 2, 1) % p
-            yield w, c
+    dd = d * d
+    tables, local = [], []
+    for e, start, stop in parts:
+        first = 0
+        for piv in combinations(range(d), e):
+            rest = [j for j in range(d) if j not in piv]
+            # the flat positions of each free entry w[i, j] and of its c[r, piv[i]]
+            slots = [(i * d + j, dd + r * d + piv[i]) for i in range(e) for r, j in enumerate(rest) if j > piv[i]]
+            size = p ** len(slots)
+            lo, hi = max(start, first), min(stop, first + size)
+            if lo < hi:
+                # entry = (const + mult * (index // div % p)) % p
+                const, div, mult = [0] * (2 * dd), [1] * (2 * dd), [0] * (2 * dd)
+                for i, j in enumerate(piv):
+                    const[i * d + j] = 1
+                for r, j in enumerate(rest):
+                    const[dd + r * d + j] = 1
+                for t, (wi, ci) in enumerate(slots):
+                    div[wi] = div[ci] = p ** (len(slots) - 1 - t)
+                    mult[wi], mult[ci] = 1, p - 1
+                tables.append((const, div, mult))
+                local.append(np.arange(lo - first, hi - first))
+            first += size
+            if first >= stop:
+                break
+    rules = np.array(tables, dtype=np.int64)[np.repeat(np.arange(len(local)), [k.size for k in local])]
+    index = np.concatenate(local)[:, None]
+    entries = (rules[:, 0] + rules[:, 2] * (index // rules[:, 1] % p)) % p
+    return entries[:, :dd].reshape(len(index), d, d), entries[:, dd:].reshape(len(index), d, d)
 
 
-def subspaces_mod_p(d: int, e: int, p: int):
-    """All e-dimensional subspaces of F_p^d as RREF basis matrices (e x d)."""
-    for w, _ in subspace_blocks_mod_p(d, e, p):
-        yield from w
+def subspace_blocks_mod_p(d: int, e: int, p: int):
+    """The e-dimensional subspaces of F_p^d, CHUNK at a time.
 
-
-def all_subspaces_mod_p(d: int, p: int):
-    for e in range(d + 1):
-        yield from subspaces_mod_p(d, e, p)
+    Yields (w, c) per block of scan order (subspace_stack_mod_p), every
+    block but the last of CHUNK subspaces, which may cross pivot patterns:
+    w (B x e x d) holds RREF bases and c (B x (d - e) x d) the rows
+    annihilating each.
+    """
+    total = gaussian_binomial(d, e, p)
+    for start in range(0, total, CHUNK):
+        w, c = subspace_stack_mod_p(d, [(e, start, min(start + CHUNK, total))], p)
+        yield w[:, :e], c[:, : d - e]

@@ -7,13 +7,15 @@ modular enumeration with rational certification, and stability or
 Harder-Narasimhan data through exact phase comparison.
 
 One subrepresentation scan serves every quiver (subrep_dimvecs): each
-quiver shape brings its subspace count, candidate step and certifier, and
-a further prime runs only toward the candidates still uncertified.  Quivers
-other than two vertices joined by parallel arrows lift the tuple of
-subspaces that reached each candidate.  On those two vertices the
-certificates come from exact source subspaces alone, with no random draw:
-the largest subspace the arrows map into a lifted enumerated sink
-subspace, and the blocks of the kernels of the joint arrow map and of its
+quiver shape brings its subspace count, candidate step and two
+certifiers, one run at each prime and one that needs no prime, run once
+after them on the candidates every prime found; a further prime runs only
+toward the candidates still uncertified.  Quivers other than two vertices
+joined by parallel arrows lift the tuple of subspaces that reached each
+candidate.  On those two vertices the certificates come from exact source
+subspaces alone, with no random draw: at each prime the largest subspace
+the arrows map into a lifted enumerated sink subspace, and after the
+primes the blocks of the kernels of the joint arrow map and of its
 transpose.  The certified vectors are closed under shrinking the source
 and growing the sink, since a subrepresentation (U, W) gives every (u, e)
 with u <= dim U and e >= dim W.
@@ -491,30 +493,49 @@ def _enum_two_vertex(m: QuiverRep, p: int, sinks=None):
     Enumerates sink subspaces W of each dimension in sinks (all of them by
     default); the largest source subspace mapping into W is the meet of the
     arrow preimages, of dimension mu(W) = d_src - rank(stack of C A_a) with
-    C the rows annihilating W.  W comes in blocks of one pivot pattern, each
-    block ranked by one stacked elimination, and blocks of e are skipped
-    once every (u, e) is found.  Returns {vec: w_rref} with the first W that
-    reaches each vec.
+    C the rows annihilating W.  The subspaces are ranked in stacks of up to
+    CHUNK (subspace_stack_mod_p), one stacked elimination each, and a stack
+    may cross pivot patterns and sink dimensions: each C is padded with
+    zero rows to d_snk rows, which leave every rank unchanged.  Each (u, e)
+    takes the first W in scan order with mu(W) >= u, and a sink dimension
+    whose every (u, e) is found adds no subspace to later stacks.  Returns
+    {vec: w_rref} with the first W that reaches each vec, sink dimensions
+    in the order of sinks and source dimensions ascending.
     """
     src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
     amats = _stack_mod_p(m, p)
-    found: dict[tuple[int, int], np.ndarray] = {}
-    for e in range(d_snk + 1) if sinks is None else sinks:
-        low = 0  # (u, e) is found for every u < low
-        for w, c in _linalg.subspace_blocks_mod_p(d_snk, e, p):
-            # row (a, r) of matrix b: row r of C_b A_a
-            stacked = (c[:, None] @ amats % p).reshape(len(c), len(amats) * (d_snk - e), d_src)
-            ranks = _linalg.mod_p_rank(stacked, p)
-            for i, mu in enumerate((d_src - ranks).tolist()):
-                if mu >= low:
-                    wi = w[i].copy()
-                    for u in range(low, mu + 1):
-                        found[(u, e) if src == 0 else (e, u)] = wi
-                    low = mu + 1
-            if low > d_src:
+    sizes = {e: _linalg.gaussian_binomial(d_snk, e, p) for e in (range(d_snk + 1) if sinks is None else sinks)}
+    # per open sink dimension e: the next scan index, and low, with (u, e)
+    # found for every u < low
+    todo = {e: [0, 0] for e in sizes}
+    found: dict[int, dict] = {e: {} for e in sizes}
+    while todo:
+        parts, room = [], _linalg.CHUNK
+        for e, (start, _) in todo.items():
+            stop = min(start + room, sizes[e])
+            parts.append((e, start, stop))
+            room -= stop - start
+            if not room:
                 break
-    return found
+        w, c = _linalg.subspace_stack_mod_p(d_snk, parts, p)
+        # row (a, r) of matrix b: row r of C_b A_a
+        stacked = (c[:, None] @ amats % p).reshape(len(c), len(amats) * d_snk, d_src)
+        mus = (d_src - _linalg.mod_p_rank(stacked, p)).tolist()
+        at = 0
+        for e, start, stop in parts:
+            state = todo[e]
+            for i in range(at, at + stop - start):
+                if mus[i] >= state[1]:
+                    wi = w[i, :e].copy()
+                    for u in range(state[1], mus[i] + 1):
+                        found[e][(u, e) if src == 0 else (e, u)] = wi
+                    state[1] = mus[i] + 1
+            at += stop - start
+            state[0] = stop
+            if stop == sizes[e] or state[1] > d_src:
+                del todo[e]
+    return {vec: wi for per_sink in found.values() for vec, wi in per_sink.items()}
 
 
 def subrep_dimvecs(m: QuiverRep, bound: int | None = None) -> SubrepScan:
@@ -528,7 +549,10 @@ def subrep_dimvecs(m: QuiverRep, bound: int | None = None) -> SubrepScan:
     candidate; a further field runs only while a candidate is uncertified,
     follows only the uncertified candidates and drops those it does not
     find, since a certified vector is a rational subrep and so survives
-    every field.  Uncertified leftovers are reported, never silently used.
+    every field.  Sources that depend on no field (on two vertices, the
+    joint-kernel sources) are tried once, after every field, on the
+    candidates every field found and none certified.  Uncertified leftovers
+    are reported, never silently used.
     """
     bound = DEFAULT_BOUND if bound is None else bound
     if m.total_dim() > bound:
@@ -542,21 +566,24 @@ def _subrep_cached(m: QuiverRep) -> SubrepScan:
         vec = tuple(m.dims)
         return SubrepScan((vec,), {vec: tuple(() for _ in m.dims)}, ())
     steps = _two_vertex_steps if _source_vertex(m.quiver) is not None else _general_steps
-    count, candidates, certify = steps(m)
+    count, candidates, certify, certify_survivors = steps(m)
     # a certified vector is a rational subrep, and its saturated lattice
     # reduces to a subrep mod every prime dividing no denominator; so the
     # next prime runs only while a candidate is open, and only toward the
-    # open candidates
+    # open candidates, and the sources that need no prime run once, on the
+    # candidates that survived every prime
     witnesses: dict = {}
     pending = None  # found over every prime so far and not yet certified
     for p in _enum_primes(m, count):
-        first = pending is None
         cands = candidates(p, pending)
-        pending = set(cands) if first else pending & cands.keys()
-        witnesses.update(certify(pending, p, cands, first))
+        pending = set(cands) if pending is None else pending & cands.keys()
+        witnesses.update(certify(pending, p, cands))
         pending -= witnesses.keys()
         if not pending:
             break
+    if pending:
+        witnesses.update(certify_survivors(pending))
+        pending -= witnesses.keys()
     return SubrepScan(tuple(sorted(witnesses)), witnesses, tuple(sorted(pending)))
 
 
@@ -585,10 +612,11 @@ def _enum_primes(m: QuiverRep, count) -> list[int]:
 
 
 def _two_vertex_steps(m: QuiverRep):
-    """Subspace count, candidate step and certifier of a two-vertex scan.
+    """Subspace count, candidate step and both certifiers of a two-vertex scan.
 
     The sink subspaces of m are enumerated, or of its dual when the source
-    is smaller; only the first prime tries the joint-kernel sources.
+    is smaller; each prime certifies from the lifts of its sink subspaces,
+    and the joint-kernel sources, which depend on no prime, run once.
     """
     src = _source_vertex(m.quiver)
     snk = 1 - src
@@ -605,37 +633,36 @@ def _two_vertex_steps(m: QuiverRep):
         # kernel has the complementary dims on the swapped vertices
         return {(m.dims[0] - vec[1], m.dims[1] - vec[0]): w for vec, w in cands.items()}
 
-    def certify(pending, p, cands, first):
-        return _two_vertex_witnesses(m, pending, p, cands, dualize, joint=first)
+    def certify(pending, p, cands):
+        return _two_vertex_witnesses(m, pending, p, cands, dualize)
 
-    return lambda p: _linalg.count_subspaces(min(m.dims), p), candidates, certify
+    def certify_survivors(pending):
+        return _joint_witnesses(m, pending)
+
+    return lambda p: _linalg.count_subspaces(min(m.dims), p), candidates, certify, certify_survivors
 
 
-def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool, joint: bool = True) -> dict:
-    """Rational witnesses for candidates, one basis per vertex.
+def _transposed_arrows(m: QuiverRep) -> list[list[list[int]]]:
+    """The transposes of m's integer arrows (_integer_arrows), shaped also without sink rows."""
+    src = _source_vertex(m.quiver)
+    d_src, d_snk = m.dims[src], m.dims[1 - src]
+    return [[[a[i][j] for i in range(d_snk)] for j in range(d_src)] for a in _integer_arrows(m)[0]]
 
-    A subrep (U, W) gives every (u, e) with u <= dim U and dim W <= e: keep
-    u rows of U and complete W with unit vectors.  So one exact source
-    subspace U certifies every candidate under the corner
-    (dim U, dim sum_a A_a U) at once.  Candidates are taken sink dimension
-    ascending, then source dimension descending, and exact subspaces U are
-    tried until every one is certified:
 
-    - for each candidate still uncertified, the lift of its sink subspace
-      from cands, enumerated mod p, and U the largest subspace
-      every arrow maps into it (in the dualized scan, the annihilator of the
-      lifted functionals);
-    - then, with joint, the blocks of each kernel vector of the joint map
-      (A_1 ... A_n): V_src^n -> V_snk, the kernel of the reflection at the
-      sink (Bernstein, Gelfand and Ponomarev 1973), each independent prefix
-      of them;
-    - then, with joint, for the transposed joint map, the largest U mapping
-      into the annihilator of each independent prefix of blocks.
+def _preimage(m: QuiverRep, transposed, ann) -> list[list[int]]:
+    """The largest source subspace every arrow maps into the annihilator of
+    the rows ann, from the transposed integer arrows."""
+    return _linalg.int_kernel(_linalg.int_images(transposed, ann), m.dims[_source_vertex(m.quiver)])
 
-    A kernel or a span basis is the same for any nonzero multiple of any
-    input row, so every row here is an integer row: the arrows, their
-    transposes and both joint maps (_joint_kernel) times the one scalar L
-    of _integer_arrows, and each source, functional and sink row its
+
+def _corner_witnesses(m: QuiverRep, todo, urows, witnesses: dict) -> None:
+    """Add a witness for every vector of todo under the corner of U = urows.
+
+    A subrep (U, W), with W = sum_a A_a U, gives every (u, e) with
+    u <= dim U and dim W <= e: keep u rows of U and complete W with unit
+    vectors.  A kernel or a span basis is the same for any nonzero multiple
+    of any input row, so every row here is an integer row: the arrows times
+    the one scalar L of _integer_arrows, and each source and sink row its
     positive primitive multiple, as the integer readers of _linalg return
     it.  One scalar for every arrow keeps each image a multiple of the true
     one; a scalar per row of a matrix would scale the coordinates of its
@@ -644,15 +671,64 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool
     U or of the span basis, and no Fraction is built.
     """
     src = _source_vertex(m.quiver)
+    span, units = _linalg.span_and_complement(_linalg.int_images(_integer_arrows(m)[0], urows), m.dims[1 - src])
+    sink = span + units
+    for vec in todo:
+        u, e = vec[src], vec[1 - src]
+        if vec not in witnesses and u <= len(urows) and len(span) <= e:
+            ubasis = tuple(tuple(r) for r in urows[:u])
+            wbasis = tuple(tuple(r) for r in sink[:e])
+            witnesses[vec] = (ubasis, wbasis) if src == 0 else (wbasis, ubasis)
+
+
+def _certify_order(m: QuiverRep, candidates) -> list:
+    """Candidates by sink dimension ascending, then source dimension descending."""
+    src = _source_vertex(m.quiver)
+    return sorted(candidates, key=lambda vec: (vec[1 - src], -vec[src]))
+
+
+def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool) -> dict:
+    """Rational witnesses for candidates from their sink subspaces mod p, one basis per vertex.
+
+    Candidates are taken in _certify_order, and for each one still
+    uncertified the lift of its sink subspace from cands, enumerated mod p,
+    gives U, the largest subspace every arrow maps into the lift (in the
+    dualized scan, the annihilator of the lifted functionals); U certifies
+    every candidate under its corner at once (_corner_witnesses).
+    """
+    todo = _certify_order(m, candidates)
+    transposed = None if dualize else _transposed_arrows(m)
+    witnesses: dict = {}
+    for vec in todo:
+        if vec not in witnesses:
+            kernel = _linalg.lifted_kernel(cands[vec], p)
+            _corner_witnesses(m, todo, kernel if dualize else _preimage(m, transposed, kernel), witnesses)
+    return witnesses
+
+
+def _joint_witnesses(m: QuiverRep, candidates) -> dict:
+    """Rational witnesses for candidates from the joint maps, which depend on no prime.
+
+    Exact source subspaces U are tried in turn, each certifying every
+    candidate under its corner (_corner_witnesses), until every candidate
+    is certified:
+
+    - the blocks of each kernel vector of the joint map
+      (A_1 ... A_n): V_src^n -> V_snk, the kernel of the reflection at the
+      sink (Bernstein, Gelfand and Ponomarev 1973), each independent
+      prefix of them;
+    - then, for the transposed joint map, the largest U mapping into the
+      annihilator of each independent prefix of blocks.
+
+    Both joint maps are integer rows (_joint_kernel) and each block is
+    taken as its positive primitive multiple.  The transposed kernel is
+    built only when the first does not certify every candidate.
+    """
+    src = _source_vertex(m.quiver)
     d_src, d_snk = m.dims[src], m.dims[1 - src]
     arrows, _ = _integer_arrows(m)
-    transposed = [[[a[i][j] for i in range(d_snk)] for j in range(d_src)] for a in arrows]
-    todo = sorted(candidates, key=lambda vec: (vec[1 - src], -vec[src]))
-    witnesses = {}
-
-    def preimage(ann):
-        """The largest source subspace every arrow maps into the annihilator of ann."""
-        return _linalg.int_kernel(_linalg.int_images(transposed, ann), d_src)
+    transposed = _transposed_arrows(m)
+    todo = _certify_order(m, candidates)
 
     def prefixes(rows, width):
         """Each independent prefix of the width-long blocks of each row,
@@ -670,38 +746,26 @@ def _two_vertex_witnesses(m: QuiverRep, candidates, p: int, cands, dualize: bool
                 yield blocks[:k]
 
     def sources():
-        for vec in list(todo):
-            if vec in witnesses:
-                continue
-            kernel = _linalg.lifted_kernel(cands[vec], p)
-            yield kernel if dualize else preimage(kernel)
-        if not joint:
-            return
         yield from prefixes(_joint_kernel(arrows, d_src), d_src)
         for ann in prefixes(_joint_kernel(transposed, d_snk), d_snk):
-            yield preimage(ann)
+            yield _preimage(m, transposed, ann)
 
+    witnesses: dict = {}
     for urows in sources():
-        if not todo:
+        _corner_witnesses(m, todo, urows, witnesses)
+        if len(witnesses) == len(todo):
             break
-        span, units = _linalg.span_and_complement(_linalg.int_images(arrows, urows), d_snk)
-        sink = span + units
-        for vec in todo:
-            u, e = vec[src], vec[1 - src]
-            if u <= len(urows) and len(span) <= e:
-                ubasis = tuple(tuple(r) for r in urows[:u])
-                wbasis = tuple(tuple(r) for r in sink[:e])
-                witnesses[vec] = (ubasis, wbasis) if src == 0 else (wbasis, ubasis)
-        todo = [vec for vec in todo if vec not in witnesses]
     return witnesses
 
 
 def _general_steps(m: QuiverRep):
     """Subspace count, candidate step and certifier of a scan on any quiver:
     the tuples of _enum_general, each candidate certified by its lifted
-    tuple, whose rows, lifted RREF rows, are integer rows with a leading 1."""
+    tuple, whose rows, lifted RREF rows, are integer rows with a leading 1.
+    Every source there is a lifted tuple, so the certifier run after the
+    primes has nothing to try."""
 
-    def certify(pending, p, cands, first):
+    def certify(pending, p, cands):
         witnesses = {}
         for vec in sorted(pending):
             wit = tuple(tuple(map(tuple, _linalg.centered_lift(u, p).tolist())) for u in cands[vec])
@@ -713,6 +777,7 @@ def _general_steps(m: QuiverRep):
         lambda p: math.prod(_linalg.count_subspaces(d, p) for d in m.dims),
         lambda p, pending: _enum_general(m, p, pending),
         certify,
+        lambda pending: {},
     )
 
 

@@ -277,11 +277,22 @@ def _reference_subspaces(d: int, e: int, p: int):
             yield w
 
 
+def _subspaces_mod_p(d: int, e: int, p: int):
+    """All e-dimensional subspaces of F_p^d as RREF basis matrices (e x d), in scan order."""
+    for w, _ in _linalg.subspace_blocks_mod_p(d, e, p):
+        yield from w
+
+
+def _all_subspaces_mod_p(d: int, p: int):
+    for e in range(d + 1):
+        yield from _subspaces_mod_p(d, e, p)
+
+
 def test_subspaces_keep_their_order_and_count():
     for p in (2, 3, 5):
         for d in range(5):
             for e in range(d + 1):
-                got = [w.tolist() for w in _linalg.subspaces_mod_p(d, e, p)]
+                got = [w.tolist() for w in _subspaces_mod_p(d, e, p)]
                 assert got == list(_reference_subspaces(d, e, p)), (d, e, p)
                 assert len(got) == _linalg.gaussian_binomial(d, e, p)
                 for w, c in _linalg.subspace_blocks_mod_p(d, e, p):
@@ -289,6 +300,25 @@ def test_subspaces_keep_their_order_and_count():
                     assert c.shape == (len(w), d - e, d)
                     assert not (w @ c.transpose(0, 2, 1) % p).any()
                     assert (_linalg.mod_p_rank(c, p) == d - e).all()
+
+
+def test_a_stack_of_runs_pads_every_subspace_to_d_rows():
+    rng = random.Random(16)
+    for p in (2, 3, 7):
+        for d in range(5):
+            every = {e: list(_reference_subspaces(d, e, p)) for e in range(d + 1)}
+            for _ in range(10):
+                parts = []
+                for e in sorted(rng.sample(range(d + 1), rng.randint(1, d + 1))):
+                    start = rng.randrange(len(every[e]))
+                    parts.append((e, start, rng.randint(start + 1, len(every[e]))))
+                w, c = _linalg.subspace_stack_mod_p(d, parts, p)
+                runs = [(e, k) for e, start, stop in parts for k in range(start, stop)]
+                assert w.shape == c.shape == (len(runs), d, d)
+                for b, (e, k) in enumerate(runs):
+                    assert w[b, :e].tolist() == every[e][k] and not w[b, e:].any()
+                    assert not c[b, d - e :].any() and not (w[b] @ c[b].T % p).any()
+                    assert _linalg.mod_p_rank(c[b], p) == d - e
 
 
 def _reference_frac_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -498,12 +528,25 @@ def test_the_kernel_of_a_lifted_rref_is_read_off_its_rows():
     seen = 0
     for p in (2, 3, 5):
         for d in range(5):
-            for w in _linalg.all_subspaces_mod_p(d, p):
+            for w in _all_subspaces_mod_p(d, p):
                 got = _linalg.lifted_kernel(w, p)
                 assert got == _linalg.frac_kernel(_linalg.centered_lift(w, p).tolist(), d), (w, p)
                 assert all(type(x) is int for row in got for x in row) and len(got) == d - len(w)
                 seen += 1
     assert seen > 1000
+
+
+def _frac_matvec(a, v):
+    """A v, each entry one integer sum over a common denominator."""
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
+    vden = math.lcm(*(x.denominator for _, x in nonzero))
+    vnum = [(k, x.numerator * (vden // x.denominator)) for k, x in nonzero]
+    out = []
+    for row in a:
+        den = math.lcm(*(row[k].denominator for k, _ in vnum))
+        total = sum(row[k].numerator * (den // row[k].denominator) * x for k, x in vnum)
+        out.append(Fraction(total, den * vden))
+    return out
 
 
 def test_frac_matvec_matches_the_naive_sum():
@@ -515,7 +558,7 @@ def test_frac_matvec_matches_the_naive_sum():
             [rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(cols)],
             [Fraction(0)] * cols,
         ):
-            got = _linalg.frac_matvec(rows, v)
+            got = _frac_matvec(rows, v)
             assert got == [sum((row[k] * v[k] for k in range(cols)), Fraction(0)) for row in rows]
             assert all(isinstance(x, Fraction) for x in got)
 
@@ -531,7 +574,7 @@ def test_integer_images_are_the_images_times_a_scalar():
         assert len(got) == 4 and all(type(x) is int for row in got for x in row)
         for img, (v, a) in zip(got, [(v, a) for v in vs for a in (ints, ints[::-1])]):
             scale = math.lcm(*(x.denominator for x in v))
-            assert img == [x * scale for x in _linalg.frac_matvec(a, v)]
+            assert img == [x * scale for x in _frac_matvec(a, v)]
 
 
 def test_frac_coordinates_is_the_greedy_pass_and_the_coordinates_on_it():

@@ -486,6 +486,22 @@ def test_subrep_dimvecs_on_a_source_one_quiver():
     assert cases == 96
 
 
+def _subspaces_mod_p(d: int, e: int, p: int):
+    """All e-dimensional subspaces of F_p^d as RREF basis matrices (e x d), in scan order."""
+    for w, _ in _linalg.subspace_blocks_mod_p(d, e, p):
+        yield from w
+
+
+def _all_subspaces_mod_p(d: int, p: int):
+    for e in range(d + 1):
+        yield from _subspaces_mod_p(d, e, p)
+
+
+def _matvec(a, v):
+    """A v by the naive sum of Fraction products."""
+    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]
+
+
 def _enum_reference(m: rep_lab.QuiverRep, p: int) -> dict:
     """The scan one sink subspace at a time: one kernel per subspace."""
     src = 0 if m.quiver.arrows[0][0] == 0 else 1
@@ -499,7 +515,7 @@ def _enum_reference(m: rep_lab.QuiverRep, p: int) -> dict:
     ]
     found = {}
     for e in range(d_snk + 1):
-        for w in _linalg.subspaces_mod_p(d_snk, e, p):
+        for w in _subspaces_mod_p(d_snk, e, p):
             pivots = [int(np.argmax(w[i] != 0)) for i in range(e)]
             cond = np.zeros((d_snk - e, d_snk), dtype=np.int64)
             for r, j in enumerate(j for j in range(d_snk) if j not in pivots):
@@ -549,6 +565,81 @@ def test_enum_two_vertex_solves_no_kernel(monkeypatch):
     assert calls == []
 
 
+def _packed_stacks(monkeypatch) -> tuple[list, list]:
+    """Record the parts of every subspace stack, and the shape of every
+    stacked mod_p_rank call."""
+    stacks, ranks = [], []
+    stack, rank = _linalg.subspace_stack_mod_p, _linalg.mod_p_rank
+
+    def recorded_stack(d, parts, p):
+        stacks.append(list(parts))
+        return stack(d, parts, p)
+
+    def recorded_rank(mat, p):
+        if np.ndim(mat) == 3:
+            ranks.append(np.shape(mat))
+        return rank(mat, p)
+
+    monkeypatch.setattr(_linalg, "subspace_stack_mod_p", recorded_stack)
+    monkeypatch.setattr(_linalg, "mod_p_rank", recorded_rank)
+    return stacks, ranks
+
+
+def _check_packed_scan(m, p, sinks, stacks, ranks):
+    """The packed scan against the per-subspace reference, restricted to
+    sinks, with one stacked rank per stack and every stack but the last full."""
+    snk = m.quiver.arrows[0][1]
+    want = {vec: w for vec, w in _enum_reference(m, p).items() if sinks is None or vec[snk] in sinks}
+    stacks.clear()
+    ranks.clear()
+    assert _same_scan(rep_lab._enum_two_vertex(m, p, sinks), want), (m.dims, p, sinks)
+    enumerated = sum(stop - start for parts in stacks for _, start, stop in parts)
+    assert len(ranks) == len(stacks) <= -(-enumerated // _linalg.CHUNK)
+    assert all(shape[0] == _linalg.CHUNK for shape in ranks[:-1])
+    return enumerated
+
+
+def test_packed_stacks_cross_pivot_patterns_and_sink_dimensions(monkeypatch):
+    stacks, ranks = _packed_stacks(monkeypatch)
+    rng = random.Random(70)
+    crossing = 0
+    # d_snk = 3 at p = 7 has 116 sink subspaces, d_snk = 4 at p = 3 has 212
+    for d_snk, p, count in ((3, 7, 116), (4, 3, 212)):
+        assert _linalg.count_subspaces(d_snk, p) == count
+        for quiver in (kronecker_quiver(1), kronecker_quiver(2), kronecker_quiver(3)):
+            for d_src in (1, 3, 5):
+                m = _random_rep(quiver, rng, dims=(d_src, d_snk))
+                _check_packed_scan(m, p, None, stacks, ranks)
+                crossing += sum(len({e for e, _, _ in parts}) > 1 for parts in stacks)
+                # every run of one sink dimension starts where the last stopped
+                runs = [run for parts in stacks for run in parts]
+                for (e0, _, stop), (e1, start, _) in zip(runs, runs[1:]):
+                    assert e0 != e1 or stop == start
+    assert crossing >= 18
+
+
+def test_packed_stacks_on_sink_subsets_and_early_exits(monkeypatch):
+    stacks, ranks = _packed_stacks(monkeypatch)
+    rng = random.Random(71)
+    q = kronecker_quiver(2)
+    for d_snk, p in ((3, 7), (4, 3)):
+        for sinks in ([0, 2], [1, 3], [2], [0, d_snk]):
+            for d_src in (2, 4):
+                _check_packed_scan(_random_rep(q, rng, dims=(d_src, d_snk)), p, sinks, stacks, ranks)
+    # with both arrows zero every W has mu(W) = d_src, so each sink
+    # dimension is done at its first subspace, inside the first stack, and
+    # adds no subspace to the next: 1 + 57 + 6 subspaces, then the last one
+    zero = rep_lab.make_rep(q, (2, 3), [[[0, 0]] * 3, [[0, 0]] * 3])
+    assert _check_packed_scan(zero, 7, None, stacks, ranks) == 65
+    assert stacks == [[(0, 0, 1), (1, 0, 57), (2, 0, 6)], [(3, 0, 1)]]
+    # one arrow onto the line of e_2: (2, 1) needs W = <e_2>, line 49 of 57,
+    # so sink dimension 1 is done partway through the first stack
+    line = rep_lab.make_rep(q, (2, 3), [[[0, 0], [1, 0], [0, 0]], [[0, 0]] * 3])
+    assert _check_packed_scan(line, 7, None, stacks, ranks) == 65
+    assert stacks == [[(0, 0, 1), (1, 0, 57), (2, 0, 6)], [(3, 0, 1)]]
+    assert rep_lab._enum_two_vertex(line, 7)[(2, 1)].tolist() == [[0, 1, 0]]
+
+
 @st.composite
 def _tiny_two_vertex_reps(draw):
     quiver = kronecker_quiver(draw(st.sampled_from((2, 3))))
@@ -588,7 +679,8 @@ def _two_vertex_primes(m: rep_lab.QuiverRep) -> list[int]:
 def _scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
     """The scan with every chosen prime over every sink dimension: the
     candidates found over all of them are then certified by the lifts of
-    one prime at a time, with the joint-kernel sources after the first."""
+    one prime at a time, and those left by the joint-kernel sources once,
+    after every prime."""
     src = m.quiver.arrows[0][0]
     dualize = m.dims[src] < m.dims[1 - src]
     work = rep_lab.dual(m) if dualize else m
@@ -600,28 +692,32 @@ def _scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
         per_prime.append((p, cands))
     surviving = set.intersection(*(set(cands) for _, cands in per_prime))
     witnesses = {}
-    for i, (p, cands) in enumerate(per_prime):
+    for p, cands in per_prime:
         open_vecs = surviving - set(witnesses)
-        witnesses.update(rep_lab._two_vertex_witnesses(m, open_vecs, p, cands, dualize, joint=i == 0))
+        witnesses.update(rep_lab._two_vertex_witnesses(m, open_vecs, p, cands, dualize))
+    witnesses.update(rep_lab._joint_witnesses(m, surviving - set(witnesses)))
     return rep_lab.SubrepScan(
         tuple(sorted(witnesses)), witnesses, tuple(sorted(surviving - set(witnesses)))
     )
 
 
 def _enumerated(monkeypatch) -> list:
+    """Record (d, e, p) for each run of e-dimensional subspaces of F_p^d that
+    a scan enumerates, two-vertex or general, where the subspaces are built."""
     calls = []
-    blocks = _linalg.subspace_blocks_mod_p
+    stack = _linalg.subspace_stack_mod_p
 
-    def counted(d, e, p):
-        calls.append((d, e, p))
-        return blocks(d, e, p)
+    def recorded(d, parts, p):
+        calls.extend((d, e, p) for e, _, _ in parts)
+        return stack(d, parts, p)
 
-    monkeypatch.setattr(_linalg, "subspace_blocks_mod_p", counted)
+    monkeypatch.setattr(_linalg, "subspace_stack_mod_p", recorded)
     return calls
 
 
-def test_scan_with_primes_on_demand_against_the_scan_over_every_prime(monkeypatch):
-    calls = _enumerated(monkeypatch)
+def _on_demand_reps() -> list:
+    """The helix modules s_rep(2, k), |k| <= 5, and 109 random two-vertex
+    reps of total dimension at most 8 and smaller side at most 3."""
     rng = random.Random(60)
     quivers = [kronecker_quiver(k) for k in (1, 2, 3, 4)] + [Quiver("q", 2, ((1, 0), (1, 0)))]
     reps = [pn_model.s_rep(2, k) for k in range(-5, 6)]
@@ -639,8 +735,13 @@ def test_scan_with_primes_on_demand_against_the_scan_over_every_prime(monkeypatc
             for s, t in quiver.arrows
         ]
         reps.append(rep_lab.make_rep(quiver, dims, mats))
+    return reps
+
+
+def test_scan_with_primes_on_demand_against_the_scan_over_every_prime(monkeypatch):
+    calls = _enumerated(monkeypatch)
     later = 0
-    for m in reps:
+    for m in _on_demand_reps():
         calls.clear()
         got = rep_lab._subrep_cached.__wrapped__(m)
         later += len({p for _, _, p in calls}) > 1
@@ -677,6 +778,53 @@ def test_further_primes_run_only_for_open_candidates(monkeypatch):
     scan = rep_lab._subrep_cached.__wrapped__(m)
     assert scan.vectors == ((0, 0), (0, 1), (0, 2), (1, 2)) and scan.uncertified == ()
     assert set(calls) == {(1, 0, 2), (1, 1, 2), (1, 0, 3)}
+
+
+def _joint_sources(monkeypatch) -> tuple[list, list]:
+    """Record the width of every _joint_kernel built and the candidates of
+    every _joint_witnesses call."""
+    built, survivors = [], []
+    joint_kernel, joint_witnesses = rep_lab._joint_kernel, rep_lab._joint_witnesses
+
+    def recorded_kernel(arrows, width):
+        built.append(width)
+        return joint_kernel(arrows, width)
+
+    def recorded_witnesses(m, candidates):
+        survivors.append(set(candidates))
+        return joint_witnesses(m, candidates)
+
+    monkeypatch.setattr(rep_lab, "_joint_kernel", recorded_kernel)
+    monkeypatch.setattr(rep_lab, "_joint_witnesses", recorded_witnesses)
+    return built, survivors
+
+
+def test_joint_kernels_are_built_only_after_every_prime(monkeypatch):
+    calls = _enumerated(monkeypatch)
+    built, survivors = _joint_sources(monkeypatch)
+    # F_2 finds every (u, e) of this rep and F_3 refutes each false one, so
+    # no candidate survives every prime and the scan builds no joint kernel
+    q = kronecker_quiver(2)
+    m = rep_lab.make_rep(q, (2, 2), [[[2, 0], [0, 2]], [[0, -2], [2, 0]]])
+    scan = rep_lab._subrep_cached.__wrapped__(m)
+    assert scan.uncertified == () and built == [] and survivors == []
+    joint = 0
+    for m in _on_demand_reps():
+        calls.clear()
+        built.clear()
+        survivors.clear()
+        got = rep_lab._subrep_cached.__wrapped__(m)
+        assert len(built) <= 2 and len(survivors) <= 1
+        assert not built or survivors
+        if survivors:
+            # every chosen prime ran and found these candidates
+            assert {p for _, _, p in calls} == set(_two_vertex_primes(m)), m
+            assert survivors[0] and survivors[0] <= set(got.vectors) | set(got.uncertified)
+            joint += 1
+        # a candidate left uncertified was tried by the joint sources
+        assert set(got.uncertified) <= (survivors[0] if survivors else set())
+    # three of the scans leave a candidate to the joint sources
+    assert joint >= 3
 
 
 def test_subrep_certification_ignores_the_hash_seed():
@@ -897,7 +1045,7 @@ def _sub_reference(m, bases):
     mats = []
     for idx, (s, t) in enumerate(m.quiver.arrows):
         amat = [list(r) for r in m.matrices[idx]]
-        imgs = [_linalg.frac_matvec(amat, list(r)) if amat else [] for r in bases[s]]
+        imgs = [_matvec(amat, list(r)) if amat else [] for r in bases[s]]
         if dims[t] == 0 or m.dims[t] == 0:
             if any(any(x for x in img) for img in imgs):
                 raise ValueError("witness is not a subrepresentation")
@@ -925,7 +1073,7 @@ def _quotient_reference(m, bases):
     mats = []
     for idx, (s, t) in enumerate(m.quiver.arrows):
         amat = [list(r) for r in m.matrices[idx]]
-        imgs = [_linalg.frac_matvec(amat, list(r)) if amat else [] for r in comps[s]]
+        imgs = [_matvec(amat, list(r)) if amat else [] for r in comps[s]]
         if m.dims[t] == 0 or dims[t] == 0:
             mats.append([[Fraction(0)] * dims[s] for _ in range(dims[t])])
             continue
@@ -1476,7 +1624,7 @@ def _general_scan_over_every_prime(m: rep_lab.QuiverRep) -> rep_lab.SubrepScan:
     for p in rep_lab._enum_primes(m, lambda p: math.prod(_linalg.count_subspaces(d, p) for d in m.dims)):
         amats = rep_lab._arrows_mod_p(m, p)
         found = {}
-        for tup in product(*(list(_linalg.all_subspaces_mod_p(d, p)) for d in m.dims)):
+        for tup in product(*(list(_all_subspaces_mod_p(d, p)) for d in m.dims)):
             if all(_maps_into_mod_p(tup[s], tup[t], a, p) for (s, t), a in zip(m.quiver.arrows, amats)):
                 found.setdefault(tuple(u.shape[0] for u in tup), tup)
         per_prime.append((p, found))
@@ -1532,7 +1680,7 @@ def test_enum_general_against_the_tuples_of_every_subspace():
                 m = _random_rep(quiver, rng, top=2)
                 amats = rep_lab._arrows_mod_p(m, p)
                 want = {}
-                for tup in product(*(list(_linalg.all_subspaces_mod_p(d, p)) for d in m.dims)):
+                for tup in product(*(list(_all_subspaces_mod_p(d, p)) for d in m.dims)):
                     if all(_maps_into_mod_p(tup[s], tup[t], a, p) for (s, t), a in zip(quiver.arrows, amats)):
                         want.setdefault(tuple(u.shape[0] for u in tup), [u.tolist() for u in tup])
                 got = rep_lab._enum_general(m, p, None)
